@@ -1,10 +1,29 @@
 """Internal computational core for backfitting and bandwidth search.
 
 A ``Workspace`` memoizes, per dataset, everything that depends only on
-(axis, bandwidth): grid-normalized kernel weight matrices, local moment
-vectors, marginal fits, and the pairwise coupling blocks.  Bandwidth
-selectors evaluate hundreds of backfits over a fixed candidate grid, so
-these caches (plus warm starts) dominate the running time.
+(axis, bandwidth) or on a pair of them.  Bandwidth selectors evaluate
+hundreds of backfits over a fixed candidate grid, so these caches (plus
+warm starts) dominate the running time.
+
+Layout.  Per (axis, bandwidth), ``_AxisStats`` keeps the grid-normalized
+kernel weights ``w`` and the offset-weighted weights ``b = w * (X - u)``
+stacked into one contiguous (2G, n) array ``wb``; ``w`` and ``b`` are its
+two halves.  Per ordered axis pair (a, b), a < b, the pair cache holds
+the sample averages of outer products as one stacked product
+``wb_a @ wb_b.T / n``, the 2G x 2G block ``[[s11, s21], [s12, s22]]``
+with rows on axis a's (level, slope) and columns on axis b's.  The
+local linear solver reads all of it, the Nadaraya-Watson solver its
+top-left G x G quadrant ``w_a @ w_b.T / n``.
+
+Solvers.  Once per solve, each solver stacks the pair blocks into one
+coupling operator per axis, ``ops[j]`` of shape (r, d * r) with r = G
+(NW) or 2G (LL).  Its columns run over the flattened state ``z`` of all
+axes, each scaled by its quadrature weight (the columns of axis j itself
+are zero); its rows already include the division by the marginal
+density (NW) or the ridged 2x2 moment inverse (LL).  A Gauss-Seidel
+update of axis j is then one matrix-vector product,
+``new_j = c_j - m0 * q_j - ops[j] @ z``, with ``c_j`` the marginal fit,
+``m0`` the intercept and ``q_j`` the smoother applied to a constant.
 
 Not part of the public API.
 """
@@ -17,6 +36,7 @@ from .data import Dataset, Grid
 from .errors import (
     EmptyNeighborhoodError,
     NonConvergenceError,
+    NumericError,
     SingularMomentError,
 )
 from .kernels import KernelSpec
@@ -35,7 +55,7 @@ _RIDGE_SCALE = 1e-9
 class _AxisStats:
     """Per-(axis, bandwidth) smoothing state."""
 
-    __slots__ = ("w", "b", "p", "p1", "m11", "a0", "a1", "_inv", "_nw")
+    __slots__ = ("wb", "w", "b", "p", "p1", "m11", "a0", "a1", "_inv", "_nw", "_ll")
 
     def __init__(self, ws: "Workspace", j: int, h: float):
         xj = ws.data.x[:, j]
@@ -43,18 +63,22 @@ class _AxisStats:
             w = weight_matrix(ws.kernel, h, ws.grid, xj)
         except EmptyNeighborhoodError as err:
             raise EmptyNeighborhoodError(j, err.where, f"bandwidth {h:g}") from None
+        g, n = w.shape
         offset = xj[None, :] - ws.grid.points[:, None]
-        b = w * offset
-        n = ws.data.n
-        self.w = w
-        self.b = b
-        self.p = w.sum(axis=1) / n
-        self.p1 = b.sum(axis=1) / n
-        self.m11 = (b * offset).sum(axis=1) / n
-        self.a0 = w @ ws.data.y / n
-        self.a1 = b @ ws.data.y / n
+        self.wb = np.empty((2 * g, n))
+        self.w = self.wb[:g]
+        self.b = self.wb[g:]
+        self.w[...] = w
+        del w  # free the unstacked copy before the moment temporaries
+        np.multiply(self.w, offset, out=self.b)
+        self.p = self.w.sum(axis=1) / n
+        self.p1 = self.b.sum(axis=1) / n
+        self.m11 = (self.b * offset).sum(axis=1) / n
+        self.a0 = self.w @ ws.data.y / n
+        self.a1 = self.b @ ws.data.y / n
         self._inv = None
         self._nw = None
+        self._ll = None
 
     def nw_marginal(self, ws: "Workspace", j: int) -> np.ndarray:
         if self._nw is None:
@@ -81,6 +105,16 @@ class _AxisStats:
                     raise SingularMomentError(j, float(ws.grid.points[g]))
             self._inv = (m11 / det, -p1 / det, p / det)
         return self._inv
+
+    def ll_marginal(self, ws: "Workspace", j: int):
+        """(levels, slopes) of the local linear regression of y on axis j.
+
+        The arrays are cached; callers must not modify them.
+        """
+        if self._ll is None:
+            i11, i12, i22 = self.inverse(ws, j)
+            self._ll = (i11 * self.a0 + i12 * self.a1, i12 * self.a0 + i22 * self.a1)
+        return self._ll
 
 
 class Workspace:
@@ -109,45 +143,35 @@ class Workspace:
         return st
 
     def _pair_blocks(self, a: int, b: int, ha: float, hb: float):
-        """Coupling blocks for the ordered axis pair (a, b), a < b.
+        """Coupling products for the ordered axis pair (a, b), a < b.
 
-        Returns (wawb, bawb, wabb, babb), each of shape (G, G), where
-        w/b pick the plain or offset-weighted weight matrix of the axis
-        and the result is the sample average of outer products.
+        Returns a one-element tuple: the sample average of outer products
+        of the stacked weights, ``wb_a @ wb_b.T / n`` (2G x 2G).
         """
         key = (a, b, float(ha), float(hb))
         blocks = self._pairs.get(key)
         if blocks is None:
             sa, sb = self.axis(a, ha), self.axis(b, hb)
-            n = self.data.n
-            blocks = (
-                sa.w @ sb.w.T / n,
-                sa.b @ sb.w.T / n,
-                sa.w @ sb.b.T / n,
-                sa.b @ sb.b.T / n,
-            )
-            self._pairs[key] = blocks
+            blocks = self._pairs[key] = (sa.wb @ sb.wb.T / self.data.n,)
         return blocks
 
-    def nw_block(self, src: int, dst: int, h_src: float, h_dst: float) -> np.ndarray:
-        """Pair density block with rows on the src grid, cols on dst."""
-        if src < dst:
-            return self._pair_blocks(src, dst, h_src, h_dst)[0]
-        return self._pair_blocks(dst, src, h_dst, h_src)[0].T
+    def coupling(self, h, r: int) -> np.ndarray:
+        """Grid-weighted pair blocks of all axes, shape (d, r, d * r).
 
-    def ll_blocks(self, src: int, dst: int, h_src: float, h_dst: float):
-        """Cross-moment blocks oriented src -> dst.
-
-        Returns (s11, s12, s21, s22) with rows on the src grid and
-        columns on the dst grid: s12 carries the src offset, s21 the dst
-        offset, s22 both.  These couple (level, slope) of component src
-        into the two-component update of dst.
+        Columns ``k*r:(k+1)*r`` of entry ``[j]`` map the state of axis k
+        (each column scaled by its quadrature weight) into the update of
+        axis j (rows); the diagonal blocks are zero.  ``r`` is G for
+        levels only, 2G for stacked (level, slope) states.
         """
-        if src < dst:
-            s11, s12, s21, s22 = self._pair_blocks(src, dst, h_src, h_dst)
-            return s11, s12, s21, s22
-        s11, s12, s21, s22 = self._pair_blocks(dst, src, h_dst, h_src)
-        return s11.T, s21.T, s12.T, s22.T
+        d = self.data.d
+        out = np.zeros((d, r, d, r))
+        for a in range(d):
+            for b in range(a + 1, d):
+                blk = self._pair_blocks(a, b, h[a], h[b])[0][:r, :r]
+                out[a, :, b, :] = blk
+                out[b, :, a, :] = blk.T
+        out *= np.tile(self.tau, (d, r // self.grid.size))
+        return out.reshape(d, r, d * r)
 
     # -- evaluation at the data points --------------------------------------
 
@@ -166,6 +190,38 @@ class Workspace:
 # -- solvers ----------------------------------------------------------------
 
 
+def _sweeps(state, ops, rhs, tol, max_sweeps):
+    """Gauss-Seidel sweeps ``state[j] = base[j] - ops[j] @ z`` in axis
+    order, ``z`` being the flattened current state and ``base = rhs()``
+    taken at the start of each sweep, until the sup-norm change of a
+    sweep drops below ``tol`` relative to the state scale.
+
+    Returns the list of sweep changes.  Raises NumericError on a
+    non-finite change or iterate and NonConvergenceError when the sweeps
+    run out.
+    """
+    z = state.reshape(-1)
+    # Each update must see the newest iterate through ``z``.
+    assert np.shares_memory(z, state)
+    changes = []
+    for sweep in range(1, max_sweeps + 1):
+        base = rhs()
+        prev = state.copy()
+        for j in range(state.shape[0]):
+            state[j] = base[j] - ops[j] @ z
+        # Any non-finite entry of the new state makes the change
+        # non-finite, so this one test also covers the iterate.
+        delta = float(np.abs(state - prev).max())
+        if not np.isfinite(delta):
+            raise NumericError(
+                f"backfitting produced a non-finite iterate in sweep {sweep}"
+            )
+        changes.append(delta)
+        if delta <= tol * max(1.0, float(np.abs(state).max())):
+            return changes
+    raise NonConvergenceError(max_sweeps, changes[-1])
+
+
 def nw_solve(
     ws: Workspace,
     h,
@@ -181,34 +237,18 @@ def nw_solve(
     """
     d, g = ws.data.d, ws.grid.size
     axes = [ws.axis(j, h[j]) for j in range(d)]
-    marg = [axes[j].nw_marginal(ws, j) for j in range(d)]
-    m = np.zeros((d, g)) if init is None else np.array(init, dtype=float)
-    m0 = ws.ybar
-    tau = ws.tau
-    changes = []
-    converged = False
-    for sweep in range(1, max_sweeps + 1):
-        delta = 0.0
-        for j in range(d):
-            acc = np.zeros(g)
-            for k in range(d):
-                if k == j:
-                    continue
-                acc += (tau * m[k]) @ ws.nw_block(k, j, h[k], h[j])
-            new = marg[j] - acc / axes[j].p - m0
-            delta = max(delta, float(np.abs(new - m[j]).max()))
-            m[j] = new
-        changes.append(delta)
-        if delta <= tol * max(1.0, float(np.abs(m).max())):
-            converged = True
-            break
-    if not converged:
-        raise NonConvergenceError(max_sweeps, changes[-1])
+    base = np.array([ax.nw_marginal(ws, j) for j, ax in enumerate(axes)]) - ws.ybar
+    p = np.array([ax.p for ax in axes])
+    ops = ws.coupling(h, g)
+    ops /= p[:, :, None]
+    m = np.zeros((d, g))
+    if init is not None:
+        m[:] = init
+    changes = _sweeps(m, ops, lambda: base, tol, max_sweeps)
     # Zero-mean normalization against the marginal densities.  At the
     # discrete fixed point the means already sum to zero, so this leaves
     # the fitted surface (and the intercept) unchanged.
-    for j in range(d):
-        m[j] -= tau @ (axes[j].p * m[j])
+    m -= (m * (ws.tau * p)).sum(axis=1, keepdims=True)
     return m, len(changes), changes
 
 
@@ -229,54 +269,32 @@ def ll_solve(
     """
     d, g = ws.data.d, ws.grid.size
     axes = [ws.axis(j, h[j]) for j in range(d)]
-    invs = [axes[j].inverse(ws, j) for j in range(d)]
-    if init is None:
-        m = np.zeros((d, g))
-        s = np.zeros((d, g))
-    else:
-        m = np.array(init[0], dtype=float)
-        s = np.array(init[1], dtype=float)
-    tau = ws.tau
-    changes = []
-    converged = False
-    for sweep in range(1, max_sweeps + 1):
-        m0 = ws.ybar
-        for j in range(d):
-            m0 -= tau @ (axes[j].p * m[j]) + tau @ (axes[j].p1 * s[j])
-        delta = 0.0
-        for j in range(d):
-            ax = axes[j]
-            c0 = np.zeros(g)
-            c1 = np.zeros(g)
-            for k in range(d):
-                if k == j:
-                    continue
-                s11, s12, s21, s22 = ws.ll_blocks(k, j, h[k], h[j])
-                tm, ts = tau * m[k], tau * s[k]
-                c0 += tm @ s11 + ts @ s12
-                c1 += tm @ s21 + ts @ s22
-            r0 = ax.a0 - m0 * ax.p - c0
-            r1 = ax.a1 - m0 * ax.p1 - c1
-            i11, i12, i22 = invs[j]
-            new_m = i11 * r0 + i12 * r1
-            new_s = i12 * r0 + i22 * r1
-            delta = max(
-                delta,
-                float(np.abs(new_m - m[j]).max()),
-                float(np.abs(new_s - s[j]).max()),
-            )
-            m[j] = new_m
-            s[j] = new_s
-        changes.append(delta)
-        scale = max(1.0, float(np.abs(m).max()), float(np.abs(s).max()))
-        if delta <= tol * scale:
-            converged = True
-            break
-    if not converged:
-        raise NonConvergenceError(max_sweeps, changes[-1])
+    inv = np.array([ax.inverse(ws, j) for j, ax in enumerate(axes)])
+    i11, i12, i22 = inv[:, 0], inv[:, 1], inv[:, 2]
+    p = np.array([ax.p for ax in axes])
+    p1 = np.array([ax.p1 for ax in axes])
+    # Per axis, as (level, slope) rows of length 2G: the marginal fit c,
+    # the moment inverse applied to the intercept's moments q, and the
+    # weights of the norming functional.
+    c = np.array([np.concatenate(ax.ll_marginal(ws, j)) for j, ax in enumerate(axes)])
+    q = np.concatenate([i11 * p + i12 * p1, i12 * p + i22 * p1], axis=1)
+    norm = np.concatenate([ws.tau * p, ws.tau * p1], axis=1)
+    # Fold the moment inverse into the rows of each axis's operator:
+    # (level, slope) rows become (i11, i12; i12, i22) combinations.
+    ops = ws.coupling(h, 2 * g)
+    rows = ops.reshape(d, 2, g, 2 * d * g)
+    swapped = rows[:, ::-1] * i12[:, None, :, None]
+    rows *= np.stack([i11, i22], axis=1)[..., None]
+    rows += swapped
+    state = np.zeros((d, 2 * g))
+    if init is not None:
+        state[:, :g] = init[0]
+        state[:, g:] = init[1]
+    z = state.reshape(-1)
+    changes = _sweeps(
+        state, ops, lambda: c - (ws.ybar - z @ norm.reshape(-1)) * q, tol, max_sweeps
+    )
     # Shift each level so its norming functional vanishes; the shifts are
     # absorbed by the intercept, which lands exactly on the response mean.
-    for j in range(d):
-        c = tau @ (axes[j].p * m[j]) + tau @ (axes[j].p1 * s[j])
-        m[j] -= c
-    return m, s, len(changes), changes
+    shift = (state * norm).sum(axis=1, keepdims=True)
+    return state[:, :g] - shift, state[:, g:].copy(), len(changes), changes

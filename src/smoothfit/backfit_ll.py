@@ -74,9 +74,8 @@ def marginal_ll(
     SingularMomentError.
     """
     ws = _engine.Workspace(data, grid, kernel)
-    ax = ws.axis(j, h)
-    i11, i12, i22 = ax.inverse(ws, j)
-    return i11 * ax.a0 + i12 * ax.a1, i12 * ax.a0 + i22 * ax.a1
+    levels, slopes = ws.axis(j, h).ll_marginal(ws, j)
+    return levels.copy(), slopes.copy()
 
 
 def backfit_ll(

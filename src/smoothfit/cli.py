@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -21,7 +22,7 @@ import numpy as np
 from .backfit_ll import backfit_ll
 from .backfit_nw import backfit_nw
 from .data import Dataset, Grid
-from .errors import SmoothfitError
+from .errors import NumericError, SmoothfitError
 from .kernels import get_kernel
 from .selectors import BandwidthSearchSpec, select_pl, select_pl_star, select_pls
 from .simulate import SimConfig, run_study
@@ -59,9 +60,12 @@ def _read_csv(path: str):
                     f"line {lineno}: expected {d + 1} fields, found {len(row)}"
                 )
             try:
-                rows.append([float(c) for c in row])
+                values = [float(c) for c in row]
             except ValueError:
                 raise _InputError(f"line {lineno}: non-numeric value") from None
+            if not all(map(math.isfinite, values)):
+                raise _InputError(f"line {lineno}: non-finite value")
+            rows.append(values)
         if not rows:
             raise _InputError("no data rows")
     arr = np.asarray(rows, dtype=float)
@@ -94,7 +98,10 @@ def _load_dataset(args):
 
 
 def _write_json(payload: dict, out: str) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as err:
+        raise NumericError(f"result is not finite: {err}") from None
     if out == "-":
         print(text)
     else:

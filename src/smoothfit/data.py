@@ -22,7 +22,7 @@ class Dataset:
     x : ndarray of shape (n, d)
         Covariates, all entries in ``[0, 1]``.
     y : ndarray of shape (n,)
-        Responses.
+        Responses, all finite.
     """
 
     x: np.ndarray
@@ -39,6 +39,11 @@ class Dataset:
             )
         if x.shape[0] == 0:
             raise ValueError("dataset is empty")
+        for name, arr in (("covariates", x), ("responses", y)):
+            finite = np.isfinite(arr)
+            if not finite.all():
+                bad = int(np.argwhere(~finite)[0, 0])
+                raise ValueError(f"{name} must be finite; row {bad} is not")
         if np.any(x < 0.0) or np.any(x > 1.0):
             bad = int(np.argwhere((x < 0.0) | (x > 1.0))[0, 0])
             raise ValueError(

@@ -511,6 +511,7 @@ def select_single(
     kernel: KernelSpec = BIWEIGHT,
     pilot_factor: float = 1.5,
     pilot_rule: str = "linear",
+    workspace=None,
 ) -> SelectionResult:
     """Single-covariate selectors built on the plain local linear fit.
 
@@ -523,14 +524,12 @@ def select_single(
     if method not in ("pls1", "pl1"):
         raise ValueError("method must be 'pls1' or 'pl1'")
     grid = grid or Grid.regular(25)
-    ws = _engine.Workspace(data, grid, kernel)
+    ws = workspace or _engine.Workspace(data, grid, kernel)
     n = data.n
     x = data.x[:, 0]
 
     def marginal_curve(h):
-        ax = ws.axis(0, float(h))
-        i11, i12, _ = ax.inverse(ws, 0)
-        return i11 * ax.a0 + i12 * ax.a1
+        return ws.axis(0, float(h)).ll_marginal(ws, 0)[0]
 
     def rss1(h):
         res = data.y - ws.component_at_data(0, marginal_curve(h))

@@ -16,6 +16,7 @@ parallel execution).
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -222,16 +223,13 @@ def generate(config: SimConfig, replicate: int = 0):
 # per-replicate execution
 
 
-def _select_ase1(data, truth, spec, grid, kernel):
+def _select_ase1(data, truth, spec, ws):
     """Exhaustive oracle scan for the single-covariate marginal fit."""
-    ws = _engine.Workspace(data, grid, kernel)
     x = data.x[:, 0]
     target = truth.components[0](x)
     vals = []
     for cand in spec.candidates:
-        ax = ws.axis(0, float(cand))
-        i11, i12, _ = ax.inverse(ws, 0)
-        curve = i11 * ax.a0 + i12 * ax.a1
+        curve = ws.axis(0, float(cand)).ll_marginal(ws, 0)[0]
         err = ws.component_at_data(0, curve) - target
         vals.append(float(err @ err) / data.n)
     best = int(np.argmin(vals))
@@ -274,19 +272,17 @@ def _run_selector(name, data, truth, config, spec, grid, kernel, ws):
         )
     if name == "pls1" or name == "pl1":
         return select_single(
-            data, name, spec, grid, kernel, pilot_factor=config.pilot_factor
+            data, name, spec, grid, kernel, pilot_factor=config.pilot_factor,
+            workspace=ws,
         )
     if name == "ase1":
-        return _select_ase1(data, truth, spec, grid, kernel)
+        return _select_ase1(data, truth, spec, ws)
     raise ValueError(f"unknown selector {name!r}")
 
 
-def _marginal_ase1(data, truth, h, grid, kernel):
+def _marginal_ase1(data, truth, h, ws):
     """Noncentered component error of the plain local linear fit."""
-    ws = _engine.Workspace(data, grid, kernel)
-    ax = ws.axis(0, float(h))
-    i11, i12, _ = ax.inverse(ws, 0)
-    curve = i11 * ax.a0 + i12 * ax.a1
+    curve = ws.axis(0, float(h)).ll_marginal(ws, 0)[0]
     err = ws.component_at_data(0, curve) - truth.components[0](data.x[:, 0])
     return float(err @ err) / data.n
 
@@ -311,7 +307,7 @@ def _run_replicate(config: SimConfig, replicate: int) -> dict:
             "converged": sel.converged,
         }
         if single:
-            entry["ase_j"] = [_marginal_ase1(data, truth, sel.bandwidths[0], grid, kernel)]
+            entry["ase_j"] = [_marginal_ase1(data, truth, sel.bandwidths[0], ws)]
             entry["ase"] = entry["ase_j"][0]
         else:
             if config.smoother == "ll":
@@ -447,17 +443,25 @@ class SimReport:
                     yield name, rec["replicate"], j, v
 
 
+def _pool_size(config: SimConfig) -> int:
+    """Worker processes for a study: never more than the replicates or
+    the machine's CPUs."""
+    return max(1, min(config.workers, config.replicates, os.cpu_count() or 1))
+
+
 def run_study(config: SimConfig) -> SimReport:
     """Run the configured study and aggregate the results.
 
     Selector failures on a replicate are recorded and excluded from the
     affected selector's averages; everything else proceeds.  With
-    ``config.workers > 1`` replicates run in parallel processes, with
-    identical results to a serial run.
+    ``config.workers > 1`` replicates run in parallel processes (at most
+    one per replicate and per CPU), with identical results to a serial
+    run.
     """
     reps = range(config.replicates)
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    workers = _pool_size(config)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_replicate, [config] * config.replicates, reps))
     else:
         records = [_run_replicate(config, r) for r in reps]

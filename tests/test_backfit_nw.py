@@ -11,6 +11,7 @@ from smoothfit import (
     fixed_point_residual_nw,
     marginal_density,
     marginal_nw,
+    pair_density,
     predict_nw,
 )
 from smoothfit._engine import Workspace
@@ -92,7 +93,9 @@ class TestBackfitNW:
             for k in range(d):
                 if k == j:
                     continue
-                block = ws.nw_block(k, j, h[k], h[j])
+                block = pair_density(
+                    data, k, j, h[k], h[j], grid25, grid25, BIWEIGHT
+                ).values
                 a[j * g:(j + 1) * g, k * g:(k + 1) * g] += (
                     block.T * tau[None, :] / ax.p[:, None]
                 )

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from smoothfit.cli import main
+from smoothfit.cli import _write_json, main
+from smoothfit.errors import NumericError
 
 
 def write_csv(path, x, y, header=None):
@@ -115,6 +116,23 @@ class TestFit:
         path = tmp_path / "nan.csv"
         path.write_text("x1,y\n0.5,1.0\noops,2.0\n")
         assert main(["fit", str(path), "--h", "0.2"]) == 2
+
+    @pytest.mark.parametrize("rescale", [[], ["--rescale", "minmax"]])
+    def test_nan_covariate_exits_2_without_output(self, tmp_path, capsys, rescale):
+        path = tmp_path / "nan.csv"
+        path.write_text("x1,x2,y\n0.5,0.2,1.0\n0.4,nan,2.0\n0.1,0.9,0.5\n")
+        out = tmp_path / "sel.json"
+        code = main(["select", str(path), "--method", "pl-star", *rescale,
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "line 3: non-finite value" in capsys.readouterr().err
+
+    def test_non_finite_result_is_a_numeric_failure(self, tmp_path):
+        out = tmp_path / "out.json"
+        with pytest.raises(NumericError):
+            _write_json({"bandwidths": [0.2, float("nan")]}, str(out))
+        assert not out.exists()
 
     def test_numeric_failure_exits_3(self, csv1):
         # Positive but hopeless bandwidth: no grid point can see the

@@ -28,6 +28,16 @@ def grid_weight_oracle(grid, h, v):
     return raw / (grid.weights @ raw)
 
 
+class TestDataset:
+    def test_rejects_non_finite_values(self):
+        x = np.full((4, 2), 0.5)
+        with pytest.raises(ValueError, match="responses must be finite; row 2"):
+            Dataset(x=x, y=[0.0, 1.0, np.inf, 2.0])
+        x[1, 1] = np.nan
+        with pytest.raises(ValueError, match="covariates must be finite; row 1"):
+            Dataset(x=x, y=np.zeros(4))
+
+
 class TestGrid:
     def test_regular(self):
         g = Grid.regular(25)

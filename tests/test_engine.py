@@ -1,0 +1,234 @@
+"""The Gauss-Seidel solvers against a per-block reference implementation.
+
+The reference solvers below are the original sweep loops: every update
+of axis j walks the other axes and applies their four (local linear) or
+one (Nadaraya-Watson) G x G coupling blocks one at a time, with the
+blocks computed directly from the cached kernel weights.  The solvers in
+``smoothfit._engine`` instead apply one stacked per-axis operator per
+update; both must take the same sweeps to the same curves.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from smoothfit import BIWEIGHT, Dataset, Grid, backfit_ll, backfit_nw, local_moments
+from smoothfit import _engine
+from smoothfit.errors import NonConvergenceError, NumericError
+
+GRID = Grid.regular(25)
+
+
+# -- reference implementation -----------------------------------------------
+
+
+def _ref_pair_blocks(ws, a, b, ha, hb):
+    """(wawb, bawb, wabb, babb) for the ordered pair a < b."""
+    sa, sb = ws.axis(a, ha), ws.axis(b, hb)
+    n = ws.data.n
+    return (
+        sa.w @ sb.w.T / n,
+        sa.b @ sb.w.T / n,
+        sa.w @ sb.b.T / n,
+        sa.b @ sb.b.T / n,
+    )
+
+
+def _ref_nw_block(ws, src, dst, h_src, h_dst):
+    if src < dst:
+        return _ref_pair_blocks(ws, src, dst, h_src, h_dst)[0]
+    return _ref_pair_blocks(ws, dst, src, h_dst, h_src)[0].T
+
+
+def _ref_ll_blocks(ws, src, dst, h_src, h_dst):
+    """(s11, s12, s21, s22) oriented src -> dst."""
+    if src < dst:
+        s11, s12, s21, s22 = _ref_pair_blocks(ws, src, dst, h_src, h_dst)
+        return s11, s12, s21, s22
+    s11, s12, s21, s22 = _ref_pair_blocks(ws, dst, src, h_dst, h_src)
+    return s11.T, s21.T, s12.T, s22.T
+
+
+def reference_nw_solve(ws, h, init=None, tol=1e-6, max_sweeps=200):
+    d, g = ws.data.d, ws.grid.size
+    axes = [ws.axis(j, h[j]) for j in range(d)]
+    marg = [axes[j].nw_marginal(ws, j) for j in range(d)]
+    m = np.zeros((d, g)) if init is None else np.array(init, dtype=float)
+    m0 = ws.ybar
+    tau = ws.tau
+    changes = []
+    converged = False
+    for sweep in range(1, max_sweeps + 1):
+        delta = 0.0
+        for j in range(d):
+            acc = np.zeros(g)
+            for k in range(d):
+                if k == j:
+                    continue
+                acc += (tau * m[k]) @ _ref_nw_block(ws, k, j, h[k], h[j])
+            new = marg[j] - acc / axes[j].p - m0
+            delta = max(delta, float(np.abs(new - m[j]).max()))
+            m[j] = new
+        changes.append(delta)
+        if delta <= tol * max(1.0, float(np.abs(m).max())):
+            converged = True
+            break
+    if not converged:
+        raise NonConvergenceError(max_sweeps, changes[-1])
+    for j in range(d):
+        m[j] -= tau @ (axes[j].p * m[j])
+    return m, len(changes), changes
+
+
+def reference_ll_solve(ws, h, init=None, tol=1e-6, max_sweeps=200):
+    d, g = ws.data.d, ws.grid.size
+    axes = [ws.axis(j, h[j]) for j in range(d)]
+    invs = [axes[j].inverse(ws, j) for j in range(d)]
+    if init is None:
+        m = np.zeros((d, g))
+        s = np.zeros((d, g))
+    else:
+        m = np.array(init[0], dtype=float)
+        s = np.array(init[1], dtype=float)
+    tau = ws.tau
+    changes = []
+    converged = False
+    for sweep in range(1, max_sweeps + 1):
+        m0 = ws.ybar
+        for j in range(d):
+            m0 -= tau @ (axes[j].p * m[j]) + tau @ (axes[j].p1 * s[j])
+        delta = 0.0
+        for j in range(d):
+            ax = axes[j]
+            c0 = np.zeros(g)
+            c1 = np.zeros(g)
+            for k in range(d):
+                if k == j:
+                    continue
+                s11, s12, s21, s22 = _ref_ll_blocks(ws, k, j, h[k], h[j])
+                tm, ts = tau * m[k], tau * s[k]
+                c0 += tm @ s11 + ts @ s12
+                c1 += tm @ s21 + ts @ s22
+            r0 = ax.a0 - m0 * ax.p - c0
+            r1 = ax.a1 - m0 * ax.p1 - c1
+            i11, i12, i22 = invs[j]
+            new_m = i11 * r0 + i12 * r1
+            new_s = i12 * r0 + i22 * r1
+            delta = max(
+                delta,
+                float(np.abs(new_m - m[j]).max()),
+                float(np.abs(new_s - s[j]).max()),
+            )
+            m[j] = new_m
+            s[j] = new_s
+        changes.append(delta)
+        scale = max(1.0, float(np.abs(m).max()), float(np.abs(s).max()))
+        if delta <= tol * scale:
+            converged = True
+            break
+    if not converged:
+        raise NonConvergenceError(max_sweeps, changes[-1])
+    for j in range(d):
+        c = tau @ (axes[j].p * m[j]) + tau @ (axes[j].p1 * s[j])
+        m[j] -= c
+    return m, s, len(changes), changes
+
+
+# -- tests ------------------------------------------------------------------
+
+
+def _dataset(seed, n, d):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, (n, d))
+    y = rng.normal(0.0, 0.2, n)
+    for j in range(d):
+        y = y + np.sin((j + 2.0) * x[:, j])
+    return Dataset(x=x, y=y)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    d=st.integers(1, 4),
+    tol=st.sampled_from([1e-6, 1e-10]),
+    data_h=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_solvers_match_reference(seed, d, tol, data_h):
+    data = _dataset(seed, n=80, d=d)
+    h = np.array([data_h.draw(st.floats(0.12, 0.8)) for _ in range(d)])
+
+    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    ref_m, ref_s, ref_sweeps, _ = reference_ll_solve(ws, h, tol=tol)
+    fit = backfit_ll(data, h, GRID, tol=tol, workspace=ws)
+    assert fit.iterations == ref_sweeps
+    np.testing.assert_allclose(fit.components, ref_m, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fit.slopes, ref_s, rtol=0, atol=1e-12)
+    assert fit.intercept == data.y.mean()
+    for j in range(d):
+        mom = local_moments(data, j, h[j], GRID, BIWEIGHT)
+        norming = GRID.integrate(mom.m00 * fit.components[j]) + GRID.integrate(
+            mom.p1 * fit.slopes[j]
+        )
+        assert abs(norming) < 1e-8
+
+    ref_m, ref_sweeps, _ = reference_nw_solve(ws, h, tol=tol)
+    fit = backfit_nw(data, h, GRID, tol=tol, workspace=ws)
+    assert fit.iterations == ref_sweeps
+    np.testing.assert_allclose(fit.components, ref_m, rtol=0, atol=1e-12)
+    assert fit.intercept == data.y.mean()
+    for j in range(d):
+        p = ws.axis(j, h[j]).p
+        assert abs(GRID.integrate(p * fit.components[j])) < 1e-8
+
+
+def test_warm_start_matches_reference():
+    data = _dataset(7, n=120, d=3)
+    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    m, s, _, _ = _engine.ll_solve(ws, [0.2, 0.25, 0.3])
+    h = np.array([0.22, 0.25, 0.3])
+    ref = reference_ll_solve(ws, h, init=(m, s))
+    new = _engine.ll_solve(ws, h, init=(m, s))
+    assert new[2] == ref[2]
+    np.testing.assert_allclose(new[0], ref[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(new[1], ref[1], rtol=0, atol=1e-12)
+
+
+def test_fortran_ordered_warm_start_matches_reference():
+    # A warm start in any memory order must be iterated, not frozen.
+    data = _dataset(9, n=120, d=3)
+    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    warm = np.asfortranarray(_engine.nw_solve(ws, [0.2, 0.25, 0.3])[0])
+    h = np.array([0.22, 0.25, 0.3])
+    ref_m, ref_sweeps, _ = reference_nw_solve(ws, h, init=warm)
+    fit = backfit_nw(data, h, GRID, init=warm, workspace=ws)
+    assert fit.iterations == ref_sweeps
+    np.testing.assert_allclose(fit.components, ref_m, rtol=0, atol=1e-12)
+    m, s, _, _ = _engine.ll_solve(ws, [0.2, 0.25, 0.3])
+    init = (np.asfortranarray(m), np.asfortranarray(s))
+    ref = reference_ll_solve(ws, h, init=init)
+    new = _engine.ll_solve(ws, h, init=init)
+    assert new[2] == ref[2]
+    np.testing.assert_allclose(new[0], ref[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(new[1], ref[1], rtol=0, atol=1e-12)
+
+
+def test_nan_init_raises_numeric_error():
+    data = _dataset(3, n=60, d=2)
+    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    bad = np.zeros((2, GRID.size))
+    bad[1, 4] = np.nan
+    with pytest.raises(NumericError):
+        _engine.ll_solve(ws, [0.3, 0.3], init=(bad, np.zeros_like(bad)))
+    with pytest.raises(NumericError):
+        _engine.nw_solve(ws, [0.3, 0.3], init=bad)
+
+
+def test_pair_block_is_one_stacked_product():
+    data = _dataset(5, n=50, d=2)
+    g = GRID.size
+    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    (block,) = ws._pair_blocks(0, 1, 0.3, 0.4)
+    assert block.shape == (2 * g, 2 * g)
+    wawb, bawb, wabb, babb = _ref_pair_blocks(ws, 0, 1, 0.3, 0.4)
+    ref = np.block([[wawb, wabb], [bawb, babb]])
+    np.testing.assert_allclose(block, ref, rtol=0, atol=1e-13 * np.abs(ref).max())

@@ -221,6 +221,17 @@ class TestSelectSingle:
         assert spec.b_lo <= sel.bandwidths[0] <= spec.b_hi
         assert sel.outer_iterations >= 2
 
+    @pytest.mark.parametrize("method", ["pls1", "pl1"])
+    def test_shared_workspace_gives_same_selection(self, grid25, method):
+        data = make_additive_dataset(seed=41, n=90, d=1)
+        spec = BandwidthSearchSpec.for_sample_size(90, 1)
+        ws = Workspace(data, grid25, BIWEIGHT)
+        shared = select_single(data, method, spec, grid25, workspace=ws)
+        alone = select_single(data, method, spec, grid25)
+        assert ws._axes
+        np.testing.assert_array_equal(shared.bandwidths, alone.bandwidths)
+        assert shared.criterion == alone.criterion
+
     def test_unknown_method(self, grid25):
         data = make_additive_dataset(seed=40, n=50, d=1)
         spec = BandwidthSearchSpec.for_sample_size(50, 1)

@@ -1,13 +1,14 @@
 """Covariate sampling, data generation, and the study harness."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from smoothfit import SimConfig, generate, run_study, sample_covariates
 from smoothfit.errors import SamplerDegenerateError
-from smoothfit.simulate import SimReport
+from smoothfit.simulate import SimReport, _pool_size
 
 
 class TestSampleCovariates:
@@ -176,6 +177,16 @@ class TestRunStudy:
         # identical results; only the echoed worker count may differ
         assert serial.replicates == parallel.replicates
         assert serial.summary == parallel.summary
+
+    def test_pool_size_is_clamped(self, monkeypatch):
+        # Only the clamp is computed here; no process is started.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        base = dict(model="m2", n=50, selectors=("pls1",))
+        assert _pool_size(SimConfig(workers=64, replicates=200, **base)) == 2
+        assert _pool_size(SimConfig(workers=64, replicates=1, **base)) == 1
+        assert _pool_size(SimConfig(workers=1, replicates=200, **base)) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _pool_size(SimConfig(workers=2, replicates=5, **base)) == 1
 
     def test_single_replicate_has_null_standard_errors(self):
         cfg = SimConfig(model="m2", n=50, replicates=1, seed=14,
