@@ -5,15 +5,25 @@ A ``Workspace`` memoizes, per dataset, everything that depends only on
 hundreds of backfits over a fixed candidate grid, so these caches (plus
 warm starts) dominate the running time.
 
-Layout.  Per (axis, bandwidth), ``_AxisStats`` keeps the grid-normalized
-kernel weights ``w`` and the offset-weighted weights ``b = w * (X - u)``
-stacked into one contiguous (2G, n) array ``wb``; ``w`` and ``b`` are its
-two halves.  Per ordered axis pair (a, b), a < b, the pair cache holds
-the sample averages of outer products as one stacked product
-``wb_a @ wb_b.T / n``, the 2G x 2G block ``[[s11, s21], [s12, s22]]``
-with rows on axis a's (level, slope) and columns on axis b's.  The
-local linear solver reads all of it, the Nadaraya-Watson solver its
-top-left G x G quadrant ``w_a @ w_b.T / n``.
+Layout.  A workspace starts level-only, which is all the Nadaraya-Watson
+smoother reads.  Per (axis, bandwidth), ``_AxisStats`` then keeps the
+grid-normalized kernel weights ``w`` (G x n), the marginal density and
+the kernel-weighted response sums; its slope weights ``b`` are empty.
+Per ordered axis pair (a, b), a < b, the pair cache holds the sample
+average of outer products ``w_a @ w_b.T / n`` (G x G).
+
+The first local linear request (``ll_solve`` or ``Workspace.ll_marginal``)
+switches the workspace to (level, slope) statistics for good, before it
+fetches any axis.  The switch drops every cached axis and pair, and from
+then on each axis is built whole: ``w`` and the offset-weighted weights
+``b = w * (X - u)`` are the two halves of one contiguous (2G, n) array
+``wb``, and each pair product is the stacked ``wb_a @ wb_b.T / n``, the
+2G x 2G block ``[[s11, s21], [s12, s22]]`` with rows on axis a's (level,
+slope) and columns on axis b's.  No entry is ever upgraded in place.
+Either layout serves both solvers: the local linear solver reads the
+whole block, the Nadaraya-Watson solver its top-left G x G corner, which
+is ``w_a @ w_b.T / n`` in both.  Asking a level-only axis for local
+linear statistics is an internal error and raises.
 
 Solvers.  Once per solve, each solver stacks the pair blocks into one
 coupling operator per axis, ``ops[j]`` of shape (r, d * r) with r = G
@@ -53,29 +63,39 @@ _RIDGE_SCALE = 1e-9
 
 
 class _AxisStats:
-    """Per-(axis, bandwidth) smoothing state."""
+    """Per-(axis, bandwidth) smoothing state.
+
+    ``wb`` holds the weights the pair products read: ``w`` alone for a
+    level-only axis (``b`` is then an empty (0, n) array and the slope
+    statistics are None), ``w`` over ``b`` when built with slopes.
+    """
 
     __slots__ = ("wb", "w", "b", "p", "p1", "m11", "a0", "a1", "_inv", "_nw", "_ll")
 
-    def __init__(self, ws: "Workspace", j: int, h: float):
+    def __init__(self, ws: "Workspace", j: int, h: float, slopes: bool):
         xj = ws.data.x[:, j]
         try:
             w = weight_matrix(ws.kernel, h, ws.grid, xj)
         except EmptyNeighborhoodError as err:
             raise EmptyNeighborhoodError(j, err.where, f"bandwidth {h:g}") from None
         g, n = w.shape
-        offset = xj[None, :] - ws.grid.points[:, None]
-        self.wb = np.empty((2 * g, n))
-        self.w = self.wb[:g]
-        self.b = self.wb[g:]
-        self.w[...] = w
-        del w  # free the unstacked copy before the moment temporaries
-        np.multiply(self.w, offset, out=self.b)
+        if slopes:
+            offset = xj[None, :] - ws.grid.points[:, None]
+            self.wb = np.empty((2 * g, n))
+            self.w = self.wb[:g]
+            self.b = self.wb[g:]
+            self.w[...] = w
+            del w  # free the unstacked copy before the moment temporaries
+            np.multiply(self.w, offset, out=self.b)
+            self.p1 = self.b.sum(axis=1) / n
+            self.m11 = (self.b * offset).sum(axis=1) / n
+            self.a1 = self.b @ ws.data.y / n
+        else:
+            self.wb = self.w = w
+            self.b = np.empty((0, n))
+            self.p1 = self.m11 = self.a1 = None
         self.p = self.w.sum(axis=1) / n
-        self.p1 = self.b.sum(axis=1) / n
-        self.m11 = (self.b * offset).sum(axis=1) / n
         self.a0 = self.w @ ws.data.y / n
-        self.a1 = self.b @ ws.data.y / n
         self._inv = None
         self._nw = None
         self._ll = None
@@ -91,6 +111,10 @@ class _AxisStats:
     def inverse(self, ws: "Workspace", j: int):
         """Entries (i11, i12, i22) of the ridged 2x2 moment inverse."""
         if self._inv is None:
+            if self.m11 is None:
+                raise RuntimeError(
+                    f"local linear statistics requested from a level-only axis {j}"
+                )
             p, p1, m11 = self.p, self.p1, self.m11
             det = p * m11 - p1 * p1
             bad = np.abs(det) < _SING_RTOL * (p * p + m11 * m11)
@@ -128,10 +152,23 @@ class Workspace:
         self.ybar = float(data.y.mean())
         self._axes: dict = {}
         self._pairs: dict = {}
+        self._slopes = False
         pos = data.x * (grid.size - 1)
         idx = np.clip(pos.astype(int), 0, grid.size - 2)
         self._idx = idx
         self._frac = pos - idx
+
+    def switch_to_slopes(self) -> None:
+        """Build (level, slope) statistics from now on, for good.
+
+        Drops every cached axis and pair, all of them level-only, so
+        they are rebuilt whole on demand.  Called by each local linear
+        request before it fetches an axis; a no-op once switched.
+        """
+        if not self._slopes:
+            self._slopes = True
+            self._axes.clear()
+            self._pairs.clear()
 
     # -- cached primitives -------------------------------------------------
 
@@ -139,14 +176,25 @@ class Workspace:
         key = (j, float(h))
         st = self._axes.get(key)
         if st is None:
-            st = self._axes[key] = _AxisStats(self, j, float(h))
+            st = self._axes[key] = _AxisStats(self, j, float(h), self._slopes)
         return st
+
+    def ll_marginal(self, j: int, h: float):
+        """(levels, slopes) of the local linear regression of y on axis j.
+
+        Switches the workspace to slopes first.  The arrays are cached;
+        callers must not modify them.
+        """
+        self.switch_to_slopes()
+        return self.axis(j, h).ll_marginal(self, j)
 
     def _pair_blocks(self, a: int, b: int, ha: float, hb: float):
         """Coupling products for the ordered axis pair (a, b), a < b.
 
         Returns a one-element tuple: the sample average of outer products
-        of the stacked weights, ``wb_a @ wb_b.T / n`` (2G x 2G).
+        of the weights, ``wb_a @ wb_b.T / n``, which is ``w_a @ w_b.T / n``
+        (G x G) on a level-only workspace and the stacked 2G x 2G block
+        once it has switched to slopes.
         """
         key = (a, b, float(ha), float(hb))
         blocks = self._pairs.get(key)
@@ -265,8 +313,9 @@ def ll_solve(
     refreshed from the norming functional at the start of every sweep.
     Returns (levels, slopes, sweeps, changes), normalized so that each
     component's norming functional vanishes and the intercept equals the
-    response mean.
+    response mean.  Switches the workspace to slopes first.
     """
+    ws.switch_to_slopes()
     d, g = ws.data.d, ws.grid.size
     axes = [ws.axis(j, h[j]) for j in range(d)]
     inv = np.array([ax.inverse(ws, j) for j, ax in enumerate(axes)])

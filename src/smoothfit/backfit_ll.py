@@ -74,7 +74,7 @@ def marginal_ll(
     SingularMomentError.
     """
     ws = _engine.Workspace(data, grid, kernel)
-    levels, slopes = ws.axis(j, h).ll_marginal(ws, j)
+    levels, slopes = ws.ll_marginal(j, h)
     return levels.copy(), slopes.copy()
 
 

@@ -86,10 +86,17 @@ def _weights_vector(weights, x: np.ndarray) -> np.ndarray:
     return np.asarray(weights, dtype=float)
 
 
-def _mean_weighted_square(data, errors, weights, trim):
-    w = _weights_vector(weights, data.x)
+def _criterion_weights(weights, trim, x: np.ndarray) -> np.ndarray:
+    """Per-observation weights of a criterion sum: ``weights`` (as in
+    ``rss``) times the keep-mask of ``trim`` when one is given."""
+    w = _weights_vector(weights, x)
     if trim is not None:
-        w = w * trim.mask(data.x)
+        w = w * trim.mask(x)
+    return w
+
+
+def _mean_weighted_square(data, errors, weights, trim):
+    w = _criterion_weights(weights, trim, data.x)
     value = float(np.sum(w * errors * errors) / data.n)
     return CriterionValue(value=value, n_used=int(np.count_nonzero(w)))
 
@@ -115,7 +122,7 @@ def pls(rss_value, h, k0: float, n: int) -> CriterionValue:
     average squared error as a function of the bandwidths.
     """
     h = np.atleast_1d(np.asarray(h, dtype=float))
-    penalty = 1.0 + 2.0 * k0 * np.sum(1.0 / (n * h))
+    penalty = 1.0 + 2.0 * k0 * float(np.sum(1.0 / (n * h)))
     if isinstance(rss_value, CriterionValue):
         return CriterionValue(value=rss_value.value * penalty, n_used=rss_value.n_used)
     return CriterionValue(value=float(rss_value) * penalty, n_used=n)

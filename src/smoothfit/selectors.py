@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _engine
-from .criteria import TrimSpec, aase_hat
+from .criteria import TrimSpec, _criterion_weights, aase_hat, pls
 from .curvature import curvature_at_points, pilot_bandwidth, second_derivative
 from .data import Dataset, Grid
 from .errors import SelectorFailureError, SmoothfitError
@@ -173,16 +173,6 @@ class _FitCache:
         return ent
 
 
-def _criterion_mask(data, weights, trim):
-    w = np.ones(data.n) if weights is None else (
-        np.asarray(weights(data.x), dtype=float) if callable(weights)
-        else np.asarray(weights, dtype=float)
-    )
-    if trim is not None:
-        w = w * trim.mask(data.x)
-    return w
-
-
 def _relative_change(h_new, h_old) -> float:
     return float(np.max(np.abs(h_new - h_old) / h_old))
 
@@ -228,10 +218,6 @@ def _coordinate_descent(objective, spec: BandwidthSearchSpec, d: int, method: st
     )
 
 
-def _pls_penalty(h, k0: float, n: int) -> float:
-    return 1.0 + 2.0 * k0 * float(np.sum(1.0 / (n * np.asarray(h))))
-
-
 # ---------------------------------------------------------------------------
 # penalized least squares
 
@@ -262,7 +248,7 @@ def select_pls(
     ws = workspace or _engine.Workspace(data, grid, kernel)
     if trim is None and smoother == "nw":
         trim = spec.nw_trim(data.d)
-    mw = _criterion_mask(data, weights, trim)
+    mw = _criterion_weights(weights, trim, data.x)
     cache = _FitCache(ws, smoother, fit_tol, max_sweeps)
     memo = {}
 
@@ -275,7 +261,7 @@ def select_pls(
             else:
                 res = data.y - ws.fitted_at_data(ws.ybar, ent[0])
                 rss_val = float(mw @ (res * res)) / data.n
-                val = rss_val * _pls_penalty(key, kernel.k0, data.n)
+                val = pls(rss_val, key, kernel.k0, data.n).value
             memo[key] = val
         return val
 
@@ -345,7 +331,7 @@ def select_pl(
     cands = spec.candidates
     if mode == "full_grid" and cands.size**d > 10_000_000:
         raise ValueError("product grid too large; use mode='coordinate'")
-    mw = _criterion_mask(data, weights, None)
+    mw = _criterion_weights(weights, None, data.x)
     cache = _FitCache(ws, "ll", fit_tol, max_sweeps)
 
     h = spec.h0.astype(float).copy()
@@ -529,7 +515,7 @@ def select_single(
     x = data.x[:, 0]
 
     def marginal_curve(h):
-        return ws.axis(0, float(h)).ll_marginal(ws, 0)[0]
+        return ws.ll_marginal(0, h)[0]
 
     def rss1(h):
         res = data.y - ws.component_at_data(0, marginal_curve(h))
@@ -537,7 +523,7 @@ def select_single(
 
     if method == "pls1":
         vals = np.array(
-            [rss1(c) * _pls_penalty([c], kernel.k0, n) for c in spec.candidates]
+            [pls(rss1(c), c, kernel.k0, n).value for c in spec.candidates]
         )
         best = int(np.argmin(vals))
         h = np.array([spec.candidates[best]])
@@ -626,7 +612,7 @@ def oracle_ase_bandwidth(
     ws = workspace or _engine.Workspace(data, grid, kernel)
     if trim is None and smoother == "nw":
         trim = spec.nw_trim(data.d)
-    mw = _criterion_mask(data, weights, trim)
+    mw = _criterion_weights(weights, trim, data.x)
     cache = _FitCache(ws, smoother, fit_tol, max_sweeps)
     memo = {}
     if criterion == "ase":

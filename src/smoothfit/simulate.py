@@ -229,7 +229,7 @@ def _select_ase1(data, truth, spec, ws):
     target = truth.components[0](x)
     vals = []
     for cand in spec.candidates:
-        curve = ws.axis(0, float(cand)).ll_marginal(ws, 0)[0]
+        curve = ws.ll_marginal(0, cand)[0]
         err = ws.component_at_data(0, curve) - target
         vals.append(float(err @ err) / data.n)
     best = int(np.argmin(vals))
@@ -282,7 +282,7 @@ def _run_selector(name, data, truth, config, spec, grid, kernel, ws):
 
 def _marginal_ase1(data, truth, h, ws):
     """Noncentered component error of the plain local linear fit."""
-    curve = ws.axis(0, float(h)).ll_marginal(ws, 0)[0]
+    curve = ws.ll_marginal(0, h)[0]
     err = ws.component_at_data(0, curve) - truth.components[0](data.x[:, 0])
     return float(err @ err) / data.n
 
@@ -366,7 +366,7 @@ class SimReport:
             ]
             failed = sum(1 for r in self.replicates if name in r["failures"])
             if not entries:
-                out[name] = {"count": 0, "failed": failed}
+                out[name] = {"count": 0, "failed": failed, "unconverged": 0}
                 continue
             ases = np.array([e["ase"] for e in entries])
             asej = np.array([e["ase_j"] for e in entries])
@@ -385,6 +385,7 @@ class SimReport:
             out[name] = {
                 "count": count,
                 "failed": failed,
+                "unconverged": sum(1 for e in entries if not e["converged"]),
                 "mean_ase": float(ases.mean()),
                 "se_ase": se_ase,
                 "mean_ase_j": asej.mean(axis=0).tolist(),

@@ -8,11 +8,21 @@ blocks computed directly from the cached kernel weights.  The solvers in
 update; both must take the same sweeps to the same curves.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smoothfit import BIWEIGHT, Dataset, Grid, backfit_ll, backfit_nw, local_moments
+from smoothfit import (
+    BIWEIGHT,
+    Dataset,
+    Grid,
+    backfit_ll,
+    backfit_nw,
+    local_moments,
+    marginal_nw,
+)
 from smoothfit import _engine
 from smoothfit.errors import NonConvergenceError, NumericError
 
@@ -81,6 +91,7 @@ def reference_nw_solve(ws, h, init=None, tol=1e-6, max_sweeps=200):
 
 
 def reference_ll_solve(ws, h, init=None, tol=1e-6, max_sweeps=200):
+    ws.switch_to_slopes()
     d, g = ws.data.d, ws.grid.size
     axes = [ws.axis(j, h[j]) for j in range(d)]
     invs = [axes[j].inverse(ws, j) for j in range(d)]
@@ -223,12 +234,80 @@ def test_nan_init_raises_numeric_error():
         _engine.nw_solve(ws, [0.3, 0.3], init=bad)
 
 
-def test_pair_block_is_one_stacked_product():
+def test_level_only_workspace_yields_the_level_product():
     data = _dataset(5, n=50, d=2)
     g = GRID.size
     ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    (block,) = ws._pair_blocks(0, 1, 0.3, 0.4)
+    assert block.shape == (g, g)
+    _engine.nw_solve(ws, [0.3, 0.4])
+    assert ws._pair_blocks(0, 1, 0.3, 0.4)[0] is block
+    sa, sb = ws.axis(0, 0.3), ws.axis(1, 0.4)
+    ref = sa.w @ sb.w.T / data.n
+    np.testing.assert_allclose(block, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+    assert all(st.b.size == 0 for st in ws._axes.values())
+    with pytest.raises(RuntimeError):
+        sa.ll_marginal(ws, 0)
+
+
+def test_pair_block_is_stacked_after_a_local_linear_solve():
+    data = _dataset(5, n=50, d=2)
+    g = GRID.size
+    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    _engine.nw_solve(ws, [0.3, 0.4])
+    _engine.ll_solve(ws, [0.3, 0.4])
     (block,) = ws._pair_blocks(0, 1, 0.3, 0.4)
     assert block.shape == (2 * g, 2 * g)
     wawb, bawb, wabb, babb = _ref_pair_blocks(ws, 0, 1, 0.3, 0.4)
     ref = np.block([[wawb, wabb], [bawb, babb]])
     np.testing.assert_allclose(block, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    d=st.integers(1, 4),
+    data_h=st.data(),
+)
+@settings(max_examples=20, deadline=None)
+def test_mixed_use_matches_fresh_workspaces(seed, d, data_h):
+    data = _dataset(seed, n=80, d=d)
+    g = GRID.size
+    hs = [
+        np.array([data_h.draw(st.floats(0.12, 0.8)) for _ in range(d)])
+        for _ in range(3)
+    ]
+    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+
+    def same(got, want):
+        assert got[-2] == want[-2]
+        for a, b in zip(got[:-2], want[:-2]):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    level_only = []
+
+    class Recording(_engine._AxisStats):
+        __slots__ = ()
+
+        def __init__(self, ws, j, h, slopes):
+            super().__init__(ws, j, h, slopes)
+            level_only.append(self.b.size == 0)
+
+    with mock.patch.object(_engine, "_AxisStats", Recording):
+        fresh = _engine.Workspace(data, GRID, BIWEIGHT)
+        same(_engine.nw_solve(ws, hs[0]), _engine.nw_solve(fresh, hs[0]))
+        backfit_nw(data, hs[0], GRID)
+        marginal_nw(data, d - 1, hs[1][d - 1], GRID)
+    assert level_only and all(level_only)
+    assert all(blk.shape == (g, g) for (blk,) in ws._pairs.values())
+
+    same(
+        _engine.ll_solve(ws, hs[1]),
+        _engine.ll_solve(_engine.Workspace(data, GRID, BIWEIGHT), hs[1]),
+    )
+    assert all(blk.shape == (2 * g, 2 * g) for (blk,) in ws._pairs.values())
+    same(
+        _engine.nw_solve(ws, hs[2]),
+        _engine.nw_solve(_engine.Workspace(data, GRID, BIWEIGHT), hs[2]),
+    )
+    assert all(blk.shape == (2 * g, 2 * g) for (blk,) in ws._pairs.values())
+    assert all(st.b.shape == st.w.shape for st in ws._axes.values())

@@ -209,3 +209,24 @@ class TestRunStudy:
         assert len(entry["h"]) == 3
         assert len(entry["ase_j"]) == 3
         assert report.summary["pls"]["count"] == 2
+
+    def test_unconverged_selections_are_counted(self):
+        # One outer iteration cannot meet outer_tol from h0, so every
+        # pl_star selection stops unconverged and the summary says so.
+        cfg = SimConfig(
+            model="m1", n=60, replicates=2, seed=13,
+            selectors=("pl_star",), search_num=8, max_outer=1,
+        )
+        report = run_study(cfg)
+        agg = report.summary["pl_star"]
+        assert agg["count"] == 2
+        assert all(
+            not r["selectors"]["pl_star"]["converged"] for r in report.replicates
+        )
+        assert agg["unconverged"] == agg["count"]
+        assert agg["max_iterations"] == 1
+        converged = run_study(
+            SimConfig(model="m1", n=60, replicates=2, seed=13,
+                      selectors=("pl_star",), search_num=8)
+        )
+        assert converged.summary["pl_star"]["unconverged"] == 0
