@@ -55,11 +55,30 @@ from .density import weight_matrix
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_SWEEPS = 200
 
-# Ridge policy for 2x2 local moment solves: flag a determinant as
-# numerically singular relative to the squared diagonal, then bump the
-# diagonal by a scale-proportional amount.
+# Ridge policy for local moment solves (the 2x2 local linear moments
+# here, the 3x3 local quadratic ones in ``curvature``): flag a
+# determinant as numerically singular relative to the squared diagonal,
+# then bump the diagonal by a scale-proportional amount.
 _SING_RTOL = 1e-12
 _RIDGE_SCALE = 1e-9
+
+
+def _ridged_inverse(m00, m01, m11, j, points):
+    """Inverse entries (i11, i12, i22) of the 2x2 moment matrices
+    ``[[m00, m01], [m01, m11]]`` at axis ``j``'s grid ``points``, under
+    the ridge policy.  Raises SingularMomentError where a matrix stays
+    singular after the ridge."""
+    det = m00 * m11 - m01 * m01
+    bad = np.abs(det) < _SING_RTOL * (m00 * m00 + m11 * m11)
+    if np.any(bad):
+        lam = _RIDGE_SCALE * (m00 + m11)
+        m00 = np.where(bad, m00 + lam, m00)
+        m11 = np.where(bad, m11 + lam, m11)
+        det = m00 * m11 - m01 * m01
+        still = np.abs(det) <= 0.0
+        if np.any(still):
+            raise SingularMomentError(j, float(points[int(np.argmax(still))]))
+    return m11 / det, -m01 / det, m00 / det
 
 
 class _AxisStats:
@@ -115,19 +134,7 @@ class _AxisStats:
                 raise RuntimeError(
                     f"local linear statistics requested from a level-only axis {j}"
                 )
-            p, p1, m11 = self.p, self.p1, self.m11
-            det = p * m11 - p1 * p1
-            bad = np.abs(det) < _SING_RTOL * (p * p + m11 * m11)
-            if np.any(bad):
-                lam = _RIDGE_SCALE * (p + m11)
-                p = np.where(bad, p + lam, p)
-                m11 = np.where(bad, m11 + lam, m11)
-                det = p * m11 - p1 * p1
-                still = np.abs(det) <= 0.0
-                if np.any(still):
-                    g = int(np.argmax(still))
-                    raise SingularMomentError(j, float(ws.grid.points[g]))
-            self._inv = (m11 / det, -p1 / det, p / det)
+            self._inv = _ridged_inverse(self.p, self.p1, self.m11, j, ws.grid.points)
         return self._inv
 
     def ll_marginal(self, ws: "Workspace", j: int):

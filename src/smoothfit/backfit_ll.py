@@ -52,18 +52,6 @@ class AdditiveFitLL:
         return predict_ll(self, x)
 
 
-def _ridge_inverse(m00, m01, m11):
-    """Entries (i11, i12, i22) of the 2x2 inverse, ridged when singular."""
-    det = m00 * m11 - m01 * m01
-    bad = np.abs(det) < _engine._SING_RTOL * (m00 * m00 + m11 * m11)
-    if np.any(bad):
-        lam = _engine._RIDGE_SCALE * (m00 + m11)
-        m00 = np.where(bad, m00 + lam, m00)
-        m11 = np.where(bad, m11 + lam, m11)
-        det = m00 * m11 - m01 * m01
-    return m11 / det, -m01 / det, m00 / det
-
-
 def marginal_ll(
     data: Dataset, j: int, h: float, grid: Grid, kernel: KernelSpec = BIWEIGHT
 ):
@@ -148,7 +136,7 @@ def fixed_point_residual_ll(
     resid = 0.0
     for j in range(d):
         mom = local_moments(data, j, h[j], grid, kernel)
-        i11, i12, i22 = _ridge_inverse(mom.m00, mom.m01, mom.m11)
+        i11, i12, i22 = _engine._ridged_inverse(mom.m00, mom.m01, mom.m11, j, grid.points)
         raw = kernel.fn((data.x[:, j][None, :] - grid.points[:, None]) / h[j])
         w = raw / (tau @ raw)
         b = w * (data.x[:, j][None, :] - grid.points[:, None])

@@ -152,12 +152,7 @@ def ase_j(data: Dataset, fit, j: int, true_mj_centered, weights_j=None) -> Crite
     xj = data.x[:, j]
     fitted = np.interp(xj, fit.grid.points, fit.components[j])
     truth = np.asarray(true_mj_centered(xj), dtype=float)
-    if weights_j is None:
-        w = np.ones(data.n)
-    elif callable(weights_j):
-        w = np.asarray(weights_j(xj), dtype=float)
-    else:
-        w = np.asarray(weights_j, dtype=float)
+    w = _weights_vector(weights_j, xj)
     err = fitted - truth
     return CriterionValue(
         value=float(np.sum(w * err * err) / data.n),

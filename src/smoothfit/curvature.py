@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._engine import _RIDGE_SCALE, _SING_RTOL
 from .data import Grid
 from .errors import SingularMomentError
 from .kernels import BIWEIGHT, KernelSpec
@@ -25,10 +26,6 @@ __all__ = [
     "pilot_bandwidth",
     "curvature_at_points",
 ]
-
-_SING_RTOL = 1e-12
-_RIDGE_SCALE = 1e-9
-
 
 @dataclass(frozen=True)
 class CurvatureCurve:

@@ -17,6 +17,16 @@ Oracle searches (minimizing the true average squared error, available
 in simulations) and single-covariate variants of the selectors are also
 implemented, plus the closed-form asymptotically optimal bandwidth for
 a known model.
+
+Every selector is one of two searches over a fit interface that returns
+the fitted values at the data and the level curves for a bandwidth
+tuple: a grid search (per-axis candidate scans, repeated by coordinate
+descent) or a plug-in iteration, both driven by one outer loop.  The
+selectors above and the oracle search the smooth backfit, for any
+number of covariates.  The single-covariate variants (``select_single``'s
+pls1 and pl1, and the simulation's ase1 oracle) are the same searches
+over the marginal local linear fit, which with one covariate is the
+backfit up to centring and needs no solve.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _engine
-from .criteria import TrimSpec, _criterion_weights, aase_hat, pls
+from .criteria import TrimSpec, _criterion_weights, _weights_vector, aase_hat, pls
 from .curvature import curvature_at_points, pilot_bandwidth, second_derivative
 from .data import Dataset, Grid
 from .errors import SelectorFailureError, SmoothfitError
@@ -133,11 +143,15 @@ class SelectionResult:
 
 
 # ---------------------------------------------------------------------------
-# shared machinery
+# fits and search loops shared by every selector
 
 
 class _FitCache:
-    """Memoized backfits over one selection run, with warm starts."""
+    """Memoized backfits over one selection run, with warm starts.
+
+    ``fit(key)`` returns (fitted values at the data, level curves) at the
+    bandwidth tuple ``key``, or None when the backfit failed.
+    """
 
     def __init__(self, ws, smoother, tol, max_sweeps):
         self.ws = ws
@@ -149,73 +163,175 @@ class _FitCache:
         self.failures = 0
 
     def fit(self, key):
-        if key in self.memo:
-            return self.memo[key]
-        try:
-            if self.smoother == "nw":
-                comps, _, _ = _engine.nw_solve(
-                    self.ws, key, init=None if self.warm is None else self.warm[0],
-                    tol=self.tol, max_sweeps=self.max_sweeps,
-                )
-                ent = (comps, None)
-            else:
-                init = None if self.warm is None else self.warm
-                m, s, _, _ = _engine.ll_solve(
-                    self.ws, key, init=init, tol=self.tol, max_sweeps=self.max_sweeps
-                )
-                ent = (m, s)
-        except SmoothfitError:
-            ent = None
-            self.failures += 1
-        self.memo[key] = ent
-        if ent is not None:
-            self.warm = ent
-        return ent
+        if key not in self.memo:
+            try:
+                if self.smoother == "nw":
+                    levels, _, _ = _engine.nw_solve(
+                        self.ws, key, self.warm, self.tol, self.max_sweeps
+                    )
+                    self.warm = levels
+                else:
+                    levels, slopes, _, _ = _engine.ll_solve(
+                        self.ws, key, self.warm, self.tol, self.max_sweeps
+                    )
+                    self.warm = (levels, slopes)
+            except SmoothfitError:
+                levels = None
+                self.failures += 1
+            self.memo[key] = levels
+        levels = self.memo[key]
+        if levels is None:
+            return None
+        return self.ws.fitted_at_data(self.ws.ybar, levels), levels
+
+
+class _MarginalFit:
+    """The fit interface of ``_FitCache`` for one covariate.
+
+    Returns the uncentred marginal local linear fit, read from the
+    workspace with no solve; with one covariate, smooth backfitting is
+    this fit centred.  Its errors propagate instead of being counted.
+    """
+
+    failures = 0
+
+    def __init__(self, ws):
+        self.ws = ws
+
+    def fit(self, key):
+        levels = self.ws.ll_marginal(0, key[0])[0]
+        return self.ws.component_at_data(0, levels), levels[None]
+
+
+def _mean_square(values, weights, n: int) -> float:
+    """``sum(weights * values**2) / n``; ``weights=None`` is unweighted."""
+    if weights is None:
+        return float(values @ values) / n
+    return float(weights @ (values * values)) / n
+
+
+def _pls_criterion(data, mw, k0):
+    """Penalized residual criterion of a fit, residuals weighted by ``mw``."""
+
+    def criterion(key, fitted, levels):
+        return pls(_mean_square(data.y - fitted, mw, data.n), key, k0, data.n).value
+
+    return criterion
+
+
+def _ase_criterion(ws, target, mw, component=None):
+    """True average squared error of the fitted surface against
+    ``target``, or with ``component`` of that level curve alone."""
+
+    def criterion(key, fitted, levels):
+        if component is not None:
+            fitted = ws.component_at_data(component, levels[component])
+        return _mean_square(fitted - target, mw, ws.data.n)
+
+    return criterion
 
 
 def _relative_change(h_new, h_old) -> float:
     return float(np.max(np.abs(h_new - h_old) / h_old))
 
 
-def _coordinate_descent(objective, spec: BandwidthSearchSpec, d: int, method: str):
-    """Per-axis exhaustive scans with immediate updates.
+def _scan(objective, cands, h, j) -> float:
+    """Set ``h[j]`` to the candidate minimizing ``objective`` with the
+    other axes fixed, and return that minimum.
 
     ``objective`` maps a bandwidth tuple to a float (``inf`` marks a
     failed candidate).  Ties break toward the smaller bandwidth because
     the candidate grid is ascending and ``argmin`` takes the first hit.
     """
-    cands = spec.candidates
+    trial = h.copy()
+    vals = np.empty(cands.size)
+    for a, cand in enumerate(cands):
+        trial[j] = cand
+        vals[a] = objective(tuple(trial))
+    best = int(np.argmin(vals))
+    if not np.isfinite(vals[best]):
+        raise SelectorFailureError(f"every bandwidth candidate failed on axis {j}")
+    h[j] = cands[best]
+    return float(vals[best])
+
+
+def _outer_loop(fits, update, spec: BandwidthSearchSpec, method: str, once=False):
+    """The outer loop of every selector.
+
+    Iterates ``h, criterion = update(h, flags)`` from ``spec.h0`` (the
+    update returns a new array) until no bandwidth moves by
+    ``outer_tol`` relative; ``once`` makes a single pass, for an update
+    that is exhaustive by itself.
+    """
     h = spec.h0.astype(float).copy()
     trace = []
-    converged = False
-    iterations = 0
-    for _ in range(spec.max_outer):
-        iterations += 1
-        prev = h.copy()
-        for j in range(d):
-            trial = h.copy()
-            vals = np.empty(cands.size)
-            for a, cand in enumerate(cands):
-                trial[j] = cand
-                vals[a] = objective(tuple(trial))
-            best = int(np.argmin(vals))
-            if not np.isfinite(vals[best]):
-                raise SelectorFailureError(
-                    f"every bandwidth candidate failed on axis {j}"
-                )
-            h[j] = cands[best]
-        trace.append({"h": h.copy(), "criterion": objective(tuple(h))})
+    flags = []
+    converged = once
+    for iterations in range(1, 2 if once else spec.max_outer + 1):
+        prev = h
+        h, crit = update(prev, flags)
+        trace.append({"h": h.copy(), "criterion": crit})
         if _relative_change(h, prev) < spec.outer_tol:
             converged = True
             break
+    if fits.failures:
+        flags.append(f"{fits.failures} candidate fits failed")
     return SelectionResult(
         bandwidths=h,
         method=method,
         outer_iterations=iterations,
         converged=converged,
-        criterion=trace[-1]["criterion"],
+        criterion=crit,
         trace=trace,
+        flags=flags,
     )
+
+
+def _grid_search(fits, criterion, spec: BandwidthSearchSpec, method: str, once=False):
+    """Minimize ``criterion(key, fitted, levels)`` over the candidate grid.
+
+    Coordinate descent: per-axis scans with immediate updates, repeated
+    until the bandwidths settle.  With ``once``, a single scan of the
+    single axis, which is already exhaustive.
+    """
+    memo = {}
+
+    def objective(key):
+        val = memo.get(key)
+        if val is None:
+            fit = fits.fit(key)
+            val = np.inf if fit is None else criterion(key, *fit)
+            memo[key] = val
+        return val
+
+    def update(prev, flags):
+        h = prev.copy()
+        for j in range(h.size):
+            # The last scan ends at h, so its minimum is the criterion there.
+            crit = _scan(objective, spec.candidates, h, j)
+        return h, crit
+
+    return _outer_loop(fits, update, spec, method, once=once)
+
+
+def _plug_in(data, fits, step, spec, method, mw, kernel, pilot_factor, pilot_rule):
+    """Plug-in selection: each outer iteration fits at the current
+    bandwidths, freezes there the residual criterion (weighted by ``mw``,
+    None for unweighted) and the curvature estimates, and takes
+    ``step(h, rss, curvature, flags)`` as the next bandwidths and the
+    iteration's criterion value."""
+
+    def update(prev, flags):
+        fit = fits.fit(tuple(prev))
+        if fit is None:
+            raise SelectorFailureError(
+                f"backfit failed at the current iterate {prev.tolist()}"
+            )
+        rss_val = _mean_square(data.y - fit[0], mw, data.n)
+        curv = _curvature_matrix(fits.ws, fit[1], prev, pilot_factor, pilot_rule, kernel)
+        return step(prev, rss_val, curv, flags)
+
+    return _outer_loop(fits, update, spec, method)
 
 
 # ---------------------------------------------------------------------------
@@ -249,26 +365,8 @@ def select_pls(
     if trim is None and smoother == "nw":
         trim = spec.nw_trim(data.d)
     mw = _criterion_weights(weights, trim, data.x)
-    cache = _FitCache(ws, smoother, fit_tol, max_sweeps)
-    memo = {}
-
-    def objective(key):
-        val = memo.get(key)
-        if val is None:
-            ent = cache.fit(key)
-            if ent is None:
-                val = np.inf
-            else:
-                res = data.y - ws.fitted_at_data(ws.ybar, ent[0])
-                rss_val = float(mw @ (res * res)) / data.n
-                val = pls(rss_val, key, kernel.k0, data.n).value
-            memo[key] = val
-        return val
-
-    result = _coordinate_descent(objective, spec, data.d, method="pls")
-    if cache.failures:
-        result.flags.append(f"{cache.failures} candidate fits failed")
-    return result
+    fits = _FitCache(ws, smoother, fit_tol, max_sweeps)
+    return _grid_search(fits, _pls_criterion(data, mw, kernel.k0), spec, "pls")
 
 
 # ---------------------------------------------------------------------------
@@ -332,79 +430,78 @@ def select_pl(
     if mode == "full_grid" and cands.size**d > 10_000_000:
         raise ValueError("product grid too large; use mode='coordinate'")
     mw = _criterion_weights(weights, None, data.x)
-    cache = _FitCache(ws, "ll", fit_tol, max_sweeps)
-
-    h = spec.h0.astype(float).copy()
-    trace = []
-    flags = []
-    converged = False
-    iterations = 0
     mu2sq = kernel.mu2**2
-    for _ in range(spec.max_outer):
-        iterations += 1
-        ent = cache.fit(tuple(h))
-        if ent is None:
-            raise SelectorFailureError(
-                f"backfit failed at the current iterate {h.tolist()}"
-            )
-        res = data.y - ws.fitted_at_data(ws.ybar, ent[0])
-        rss_val = float(mw @ (res * res)) / n
-        curv = _curvature_matrix(ws, ent[0], h, pilot_factor, pilot_rule, kernel)
-        prev = h.copy()
-        if mode == "full_grid":
-            q = (curv * mw[:, None]).T @ curv / n
-            shape = (cands.size,) * d
-            val = np.zeros(shape)
-            for j in range(d):
-                axis_shape = [1] * d
-                axis_shape[j] = cands.size
-                val += rss_val * kernel.r_k / (n * cands.reshape(axis_shape))
-            bias = np.zeros(shape)
-            sq = cands * cands
-            for j in range(d):
-                sj = [1] * d
-                sj[j] = cands.size
-                for k in range(d):
-                    sk = [1] * d
-                    sk[k] = cands.size
-                    bias = bias + q[j, k] * sq.reshape(sj) * sq.reshape(sk)
-            val += 0.25 * mu2sq * bias
-            idx = np.unravel_index(int(np.argmin(val)), shape)
-            h = np.array([cands[i] for i in idx])
-            crit = float(val[idx])
-        else:
-            # Every axis is updated from the previous iterate: the frozen
-            # parts of the objective use prev, not freshly updated axes.
-            inv_prev = float(np.sum(1.0 / (n * prev)))
-            weighted_curv = prev * prev * curv
-            for j in range(d):
-                rest = weighted_curv.sum(axis=1) - weighted_curv[:, j]
-                others = inv_prev - 1.0 / (n * prev[j])
-                combined = cands[:, None] ** 2 * curv[None, :, j] + rest[None, :]
-                vals = rss_val * kernel.r_k * (1.0 / (n * cands) + others)
-                vals += 0.25 * mu2sq * (combined * combined) @ mw / n
-                h[j] = cands[int(np.argmin(vals))]
-            # Record this iteration's objective at the chosen point.
-            crit = aase_hat(data, rss_val, curv, h, kernel, weights).value
-        trace.append({"h": h.copy(), "criterion": crit})
-        if _relative_change(h, prev) < spec.outer_tol:
-            converged = True
-            break
-    if cache.failures:
-        flags.append(f"{cache.failures} candidate fits failed")
-    return SelectionResult(
-        bandwidths=h,
-        method="pl_grid" if mode == "full_grid" else "pl_coord",
-        outer_iterations=iterations,
-        converged=converged,
-        criterion=trace[-1]["criterion"],
-        trace=trace,
-        flags=flags,
-    )
+
+    def full_grid(prev, rss_val, curv, flags):
+        q = (curv * mw[:, None]).T @ curv / n
+        shape = (cands.size,) * d
+        # cands and their squares laid along axis j of the product grid
+        along = [[cands.size if k == j else 1 for k in range(d)] for j in range(d)]
+        val = np.zeros(shape)
+        for j in range(d):
+            val += rss_val * kernel.r_k / (n * cands.reshape(along[j]))
+        bias = np.zeros(shape)
+        sq = cands * cands
+        for j in range(d):
+            for k in range(d):
+                bias = bias + q[j, k] * sq.reshape(along[j]) * sq.reshape(along[k])
+        val += 0.25 * mu2sq * bias
+        idx = np.unravel_index(int(np.argmin(val)), shape)
+        return np.array([cands[i] for i in idx]), float(val[idx])
+
+    def coordinate(prev, rss_val, curv, flags):
+        # Every axis is updated from the previous iterate: the frozen
+        # parts of the objective use prev, not freshly updated axes.
+        h = prev.copy()
+        inv_prev = float(np.sum(1.0 / (n * prev)))
+        weighted_curv = prev * prev * curv
+        for j in range(d):
+            rest = weighted_curv.sum(axis=1) - weighted_curv[:, j]
+            others = inv_prev - 1.0 / (n * prev[j])
+            combined = cands[:, None] ** 2 * curv[None, :, j] + rest[None, :]
+            vals = rss_val * kernel.r_k * (1.0 / (n * cands) + others)
+            vals += 0.25 * mu2sq * (combined * combined) @ mw / n
+            h[j] = cands[int(np.argmin(vals))]
+        # Record this iteration's objective at the chosen point.
+        return h, aase_hat(data, rss_val, curv, h, kernel, weights).value
+
+    fits = _FitCache(ws, "ll", fit_tol, max_sweeps)
+    if mode == "full_grid":
+        step, method = full_grid, "pl_grid"
+    else:
+        step, method = coordinate, "pl_coord"
+    return _plug_in(data, fits, step, spec, method, mw, kernel, pilot_factor, pilot_rule)
 
 
 # ---------------------------------------------------------------------------
 # component-wise closed-form plug-in
+
+
+def _pl_star_step(data, spec, kernel, weights_j):
+    """The closed-form update of ``select_pl_star`` as a plug-in step."""
+    n = data.n
+    rate = float(n) ** (-0.2)
+    wjs = [
+        _weights_vector(None if weights_j is None else weights_j[j], data.x[:, j])
+        for j in range(data.d)
+    ]
+
+    def step(prev, rss_val, curv, flags):
+        h = prev.copy()
+        for j, wj in enumerate(wjs):
+            denom = _mean_square(curv[:, j], wj, n) * kernel.mu2**2
+            if denom <= 0.0:
+                h[j] = spec.b_hi
+                flags.append(f"axis {j}: zero curvature, clamped to box top")
+                continue
+            raw = rate * (rss_val * kernel.r_k) ** 0.2 * denom ** (-0.2)
+            clamped = float(np.clip(raw, spec.b_lo, spec.b_hi))
+            if clamped != raw:
+                flags.append(f"axis {j}: update {raw:.4g} clamped into box")
+            h[j] = clamped
+        return h, rss_val
+
+    return step
 
 
 def select_pl_star(
@@ -433,60 +530,15 @@ def select_pl_star(
     """
     grid = grid or Grid.regular(25)
     ws = workspace or _engine.Workspace(data, grid, kernel)
-    d, n = data.d, data.n
-    cache = _FitCache(ws, "ll", fit_tol, max_sweeps)
-    h = spec.h0.astype(float).copy()
-    trace = []
-    flags = []
-    converged = False
-    iterations = 0
-    rate = float(n) ** (-0.2)
-    for _ in range(spec.max_outer):
-        iterations += 1
-        ent = cache.fit(tuple(h))
-        if ent is None:
-            raise SelectorFailureError(
-                f"backfit failed at the current iterate {h.tolist()}"
-            )
-        res = data.y - ws.fitted_at_data(ws.ybar, ent[0])
-        rss_val = float(res @ res) / n
-        curv = _curvature_matrix(ws, ent[0], h, pilot_factor, pilot_rule, kernel)
-        prev = h.copy()
-        for j in range(d):
-            xj = data.x[:, j]
-            if weights_j is None:
-                wj = np.ones(n)
-            else:
-                wj = np.asarray(weights_j[j](xj), dtype=float)
-            denom = float(wj @ (curv[:, j] * curv[:, j])) / n * kernel.mu2**2
-            if denom <= 0.0:
-                h[j] = spec.b_hi
-                flags.append(f"axis {j}: zero curvature, clamped to box top")
-                continue
-            raw = rate * (rss_val * kernel.r_k) ** 0.2 * denom ** (-0.2)
-            clamped = float(np.clip(raw, spec.b_lo, spec.b_hi))
-            if clamped != raw:
-                flags.append(f"axis {j}: update {raw:.4g} clamped into box")
-            h[j] = clamped
-        trace.append({"h": h.copy(), "criterion": rss_val})
-        if _relative_change(h, prev) < spec.outer_tol:
-            converged = True
-            break
-    if cache.failures:
-        flags.append(f"{cache.failures} candidate fits failed")
-    return SelectionResult(
-        bandwidths=h,
-        method="pl_star",
-        outer_iterations=iterations,
-        converged=converged,
-        criterion=trace[-1]["criterion"],
-        trace=trace,
-        flags=flags,
+    fits = _FitCache(ws, "ll", fit_tol, max_sweeps)
+    step = _pl_star_step(data, spec, kernel, weights_j)
+    return _plug_in(
+        data, fits, step, spec, "pl_star", None, kernel, pilot_factor, pilot_rule
     )
 
 
 # ---------------------------------------------------------------------------
-# single-covariate variants (no backfitting; ordinary local linear fit)
+# single-covariate variants: the same searches over the marginal fit
 
 
 def select_single(
@@ -501,77 +553,23 @@ def select_single(
 ) -> SelectionResult:
     """Single-covariate selectors built on the plain local linear fit.
 
-    ``pls1`` scans the candidate grid for the penalized residual
-    minimum; ``pl1`` iterates the closed-form plug-in update using the
-    local quadratic curvature of the marginal fit itself.
+    With one covariate, smooth backfitting is the centred marginal fit,
+    so these run the multi-covariate searches on that fit without a
+    solve: ``pls1`` is ``select_pls``'s penalized residual criterion
+    minimized by one exhaustive scan, ``pl1`` is ``select_pl_star``'s
+    closed-form update iterated on the curvature of the marginal fit.
     """
     if data.d != 1:
         raise ValueError("single-covariate selection needs d = 1")
     if method not in ("pls1", "pl1"):
         raise ValueError("method must be 'pls1' or 'pl1'")
     grid = grid or Grid.regular(25)
-    ws = workspace or _engine.Workspace(data, grid, kernel)
-    n = data.n
-    x = data.x[:, 0]
-
-    def marginal_curve(h):
-        return ws.ll_marginal(0, h)[0]
-
-    def rss1(h):
-        res = data.y - ws.component_at_data(0, marginal_curve(h))
-        return float(res @ res) / n
-
+    fits = _MarginalFit(workspace or _engine.Workspace(data, grid, kernel))
     if method == "pls1":
-        vals = np.array(
-            [pls(rss1(c), c, kernel.k0, n).value for c in spec.candidates]
-        )
-        best = int(np.argmin(vals))
-        h = np.array([spec.candidates[best]])
-        return SelectionResult(
-            bandwidths=h,
-            method="pls1",
-            outer_iterations=1,
-            converged=True,
-            criterion=float(vals[best]),
-            trace=[{"h": h.copy(), "criterion": float(vals[best])}],
-        )
-
-    h = float(spec.h0[0])
-    trace = []
-    flags = []
-    converged = False
-    iterations = 0
-    rate = float(n) ** (-0.2)
-    for _ in range(spec.max_outer):
-        iterations += 1
-        curve = marginal_curve(h)
-        rss_val = rss1(h)
-        g = float(pilot_bandwidth(np.array(h), pilot_factor, pilot_rule))
-        curv = _component_curvature(curve, grid, g, kernel, x)
-        denom = float(curv @ curv) / n * kernel.mu2**2
-        if denom <= 0.0:
-            new = spec.b_hi
-            flags.append("zero curvature, clamped to box top")
-        else:
-            raw = rate * (rss_val * kernel.r_k) ** 0.2 * denom ** (-0.2)
-            new = float(np.clip(raw, spec.b_lo, spec.b_hi))
-            if new != raw:
-                flags.append(f"update {raw:.4g} clamped into box")
-        prev = h
-        h = new
-        trace.append({"h": np.array([h]), "criterion": rss_val})
-        if abs(h - prev) / prev < spec.outer_tol:
-            converged = True
-            break
-    return SelectionResult(
-        bandwidths=np.array([h]),
-        method="pl1",
-        outer_iterations=iterations,
-        converged=converged,
-        criterion=trace[-1]["criterion"],
-        trace=trace,
-        flags=flags,
-    )
+        criterion = _pls_criterion(data, None, kernel.k0)
+        return _grid_search(fits, criterion, spec, "pls1", once=True)
+    step = _pl_star_step(data, spec, kernel, None)
+    return _plug_in(data, fits, step, spec, "pl1", None, kernel, pilot_factor, pilot_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -613,32 +611,14 @@ def oracle_ase_bandwidth(
     if trim is None and smoother == "nw":
         trim = spec.nw_trim(data.d)
     mw = _criterion_weights(weights, trim, data.x)
-    cache = _FitCache(ws, smoother, fit_tol, max_sweeps)
-    memo = {}
     if criterion == "ase":
         target = np.asarray(truth(data.x), dtype=float)
+        crit = _ase_criterion(ws, target, mw)
     else:
         target = np.asarray(component_truth(data.x[:, component]), dtype=float)
-
-    def objective(key):
-        val = memo.get(key)
-        if val is None:
-            ent = cache.fit(key)
-            if ent is None:
-                val = np.inf
-            elif criterion == "ase":
-                err = ws.fitted_at_data(ws.ybar, ent[0]) - target
-                val = float(mw @ (err * err)) / data.n
-            else:
-                err = ws.component_at_data(component, ent[0][component]) - target
-                val = float(mw @ (err * err)) / data.n
-            memo[key] = val
-        return val
-
-    result = _coordinate_descent(objective, spec, data.d, method="ase_oracle")
-    if cache.failures:
-        result.flags.append(f"{cache.failures} candidate fits failed")
-    return result
+        crit = _ase_criterion(ws, target, mw, component)
+    fits = _FitCache(ws, smoother, fit_tol, max_sweeps)
+    return _grid_search(fits, crit, spec, "ase_oracle")
 
 
 def theoretical_hstar(

@@ -31,7 +31,9 @@ from .errors import SamplerDegenerateError, SmoothfitError
 from .kernels import get_kernel
 from .selectors import (
     BandwidthSearchSpec,
-    SelectionResult,
+    _ase_criterion,
+    _grid_search,
+    _MarginalFit,
     oracle_ase_bandwidth,
     select_pl,
     select_pl_star,
@@ -224,24 +226,9 @@ def generate(config: SimConfig, replicate: int = 0):
 
 
 def _select_ase1(data, truth, spec, ws):
-    """Exhaustive oracle scan for the single-covariate marginal fit."""
-    x = data.x[:, 0]
-    target = truth.components[0](x)
-    vals = []
-    for cand in spec.candidates:
-        curve = ws.ll_marginal(0, cand)[0]
-        err = ws.component_at_data(0, curve) - target
-        vals.append(float(err @ err) / data.n)
-    best = int(np.argmin(vals))
-    h = np.array([spec.candidates[best]])
-    return SelectionResult(
-        bandwidths=h,
-        method="ase1",
-        outer_iterations=1,
-        converged=True,
-        criterion=vals[best],
-        trace=[{"h": h, "criterion": vals[best]}],
-    )
+    """Oracle scan of the single-covariate marginal fit."""
+    criterion = _ase_criterion(ws, truth.components[0](data.x[:, 0]), None)
+    return _grid_search(_MarginalFit(ws), criterion, spec, "ase1", once=True)
 
 
 def _run_selector(name, data, truth, config, spec, grid, kernel, ws):

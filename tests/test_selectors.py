@@ -10,6 +10,7 @@ from smoothfit import (
     Grid,
     ase,
     backfit_ll,
+    marginal_ll,
     oracle_ase_bandwidth,
     pls,
     rss,
@@ -20,7 +21,7 @@ from smoothfit import (
     theoretical_hstar,
 )
 from smoothfit._engine import Workspace
-from smoothfit.simulate import SimConfig, generate
+from smoothfit.simulate import SimConfig, _select_ase1, generate
 
 from conftest import make_additive_dataset
 
@@ -231,6 +232,32 @@ class TestSelectSingle:
         assert ws._axes
         np.testing.assert_array_equal(shared.bandwidths, alone.bandwidths)
         assert shared.criterion == alone.criterion
+
+    @pytest.mark.parametrize("n,seed", [(60, 3), (110, 4), (200, 5), (400, 6)])
+    def test_marginal_searches_match_their_multi_covariate_twins(self, grid25, n, seed):
+        # With one covariate the backfit is the centred marginal fit, so
+        # pl1 is pl_star's iteration and ase1 an exhaustive scan of the
+        # marginal fit's true error.
+        for rep in range(3):
+            cfg = SimConfig(model="m2", n=n, seed=seed)
+            data, truth = generate(cfg, rep)
+            spec = cfg.search_spec()
+            pl1 = select_single(data, "pl1", spec, grid25)
+            star = select_pl_star(data, spec, grid25)
+            np.testing.assert_allclose(pl1.bandwidths, star.bandwidths, rtol=1e-10)
+            assert pl1.outer_iterations == star.outer_iterations
+            assert pl1.converged == star.converged
+
+            x = data.x[:, 0]
+            errors = [
+                np.mean((np.interp(x, grid25.points, marginal_ll(data, 0, c, grid25)[0])
+                         - x**2) ** 2)
+                for c in spec.candidates
+            ]
+            ws = Workspace(data, grid25, BIWEIGHT)
+            ase1 = _select_ase1(data, truth, spec, ws)
+            assert ase1.bandwidths[0] == spec.candidates[int(np.argmin(errors))]
+            assert ase1.outer_iterations == 1 and ase1.converged
 
     def test_unknown_method(self, grid25):
         data = make_additive_dataset(seed=40, n=50, d=1)
