@@ -24,7 +24,13 @@ from .backfit_nw import backfit_nw
 from .data import Dataset, Grid
 from .errors import NumericError, SmoothfitError
 from .kernels import get_kernel
-from .selectors import BandwidthSearchSpec, select_pl, select_pl_star, select_pls
+from .selectors import (
+    BandwidthSearchSpec,
+    _check_smoother,
+    select_pl,
+    select_pl_star,
+    select_pls,
+)
 from .simulate import SimConfig, run_study
 
 SCHEMA_VERSION = 1
@@ -140,8 +146,7 @@ def _search_spec(args, data: Dataset) -> BandwidthSearchSpec:
 def _run_selection(args, data, grid, kernel):
     spec = _search_spec(args, data)
     method = args.method.replace("-", "_")
-    if method in ("pl", "pl_star") and args.smoother != "ll":
-        raise _InputError("plug-in selection requires the local linear smoother")
+    _check_smoother(method, args.smoother)
     if method == "pls":
         sel = select_pls(data, args.smoother, spec, grid, kernel)
     elif method == "pl":

@@ -116,17 +116,26 @@ def weight_matrix(kernel: KernelSpec, h: float, grid: Grid, x: np.ndarray) -> np
         If some observation is farther than ``h`` from every grid point,
         so no grid mass covers it.
     """
+    x = np.asarray(x, dtype=float).ravel()
+    raw, mass = _raw_weights(kernel, h, grid, x, x[None, :] - grid.points[:, None])
+    return raw / mass
+
+
+def _raw_weights(kernel, h, grid, x, offset):
+    """Kernel values at the offsets ``x[None, :] - grid.points[:, None]``
+    and their trapezoid mass per observation: ``weight_matrix`` is their
+    quotient.  Callers that also need the offsets compute them once and
+    divide into storage of their own.  Raises as ``weight_matrix``."""
     if not np.isscalar(h) or h <= 0:
         raise InvalidBandwidthError(f"bandwidth must be a positive scalar, got {h!r}")
-    x = np.asarray(x, dtype=float).ravel()
-    raw = kernel.fn((x[None, :] - grid.points[:, None]) / h)
+    raw = kernel.fn(offset / h)
     mass = grid.weights @ raw
     if np.any(mass <= 0.0):
         i = int(np.argmin(mass))
         raise EmptyNeighborhoodError(
             axis=None, where=float(x[i]), detail=f"observation {i}, bandwidth {h:g}"
         )
-    return raw / mass
+    return raw, mass
 
 
 def _check_axis(data: Dataset, j: int) -> np.ndarray:

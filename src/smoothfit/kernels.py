@@ -59,10 +59,19 @@ class KernelSpec:
         return self.fn(np.asarray(t, dtype=float))
 
 
-def _biweight_fn(t: np.ndarray) -> np.ndarray:
+def _inside(t) -> np.ndarray:
+    """``clip(1 - t * t, 0, None)``, computed in one new array."""
     t = np.asarray(t, dtype=float)
-    inside = np.clip(1.0 - t * t, 0.0, None)
-    return (15.0 / 16.0) * inside * inside
+    inside = np.multiply(t, t, out=np.empty_like(t))
+    np.subtract(1.0, inside, out=inside)
+    return np.clip(inside, 0.0, None, out=inside)
+
+
+def _biweight_fn(t: np.ndarray) -> np.ndarray:
+    inside = _inside(t)
+    out = (15.0 / 16.0) * inside
+    out *= inside
+    return out
 
 
 def _biweight_cdf(t: np.ndarray) -> np.ndarray:
@@ -71,8 +80,7 @@ def _biweight_cdf(t: np.ndarray) -> np.ndarray:
 
 
 def _epanechnikov_fn(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    return 0.75 * np.clip(1.0 - t * t, 0.0, None)
+    return 0.75 * _inside(t)
 
 
 def _epanechnikov_cdf(t: np.ndarray) -> np.ndarray:

@@ -54,6 +54,33 @@ __all__ = [
 ]
 
 
+# The smoothers each selector runs with, by the selector names of the
+# command line and the simulation harness.  The plug-in selectors expand
+# the local linear error, and the single-covariate variants search the
+# marginal local linear fit, so only the grid searches over the backfit
+# also run with Nadaraya-Watson.
+_SMOOTHERS = {
+    "ase": ("nw", "ll"),
+    "pls": ("nw", "ll"),
+    "pl": ("ll",),
+    "pl_coord": ("ll",),
+    "pl_star": ("ll",),
+    "ase1": ("ll",),
+    "pls1": ("ll",),
+    "pl1": ("ll",),
+}
+
+
+def _check_smoother(selector: str, smoother: str) -> None:
+    """Raise ValueError unless ``selector`` runs with ``smoother``."""
+    if selector not in _SMOOTHERS:
+        raise ValueError(f"unknown selector {selector!r}")
+    if smoother not in _SMOOTHERS[selector]:
+        names = {"nw": "Nadaraya-Watson", "ll": "local linear"}
+        allowed = " or ".join(names[s] for s in _SMOOTHERS[selector])
+        raise ValueError(f"selector {selector!r} needs the {allowed} smoother")
+
+
 @dataclass(frozen=True)
 class BandwidthSearchSpec:
     """Search box, candidate grid, and outer-loop controls.
@@ -162,6 +189,13 @@ class _FitCache:
         self.warm = None
         self.failures = 0
 
+    def prepare(self, keys):
+        """Build the caches that fits at ``keys`` will read, in parallel
+        where the workspace finds that worthwhile."""
+        if self.smoother == "ll":
+            self.ws.switch_to_slopes()
+        self.ws.prepare(keys)
+
     def fit(self, key):
         if key not in self.memo:
             try:
@@ -197,6 +231,10 @@ class _MarginalFit:
 
     def __init__(self, ws):
         self.ws = ws
+
+    def prepare(self, keys):
+        self.ws.switch_to_slopes()
+        self.ws.prepare(keys)
 
     def fit(self, key):
         levels = self.ws.ll_marginal(0, key[0])[0]
@@ -235,19 +273,21 @@ def _relative_change(h_new, h_old) -> float:
     return float(np.max(np.abs(h_new - h_old) / h_old))
 
 
-def _scan(objective, cands, h, j) -> float:
-    """Set ``h[j]`` to the candidate minimizing ``objective`` with the
+def _scan(evaluate, cands, h, j) -> float:
+    """Set ``h[j]`` to the candidate minimizing the objective with the
     other axes fixed, and return that minimum.
 
-    ``objective`` maps a bandwidth tuple to a float (``inf`` marks a
-    failed candidate).  Ties break toward the smaller bandwidth because
-    the candidate grid is ascending and ``argmin`` takes the first hit.
+    ``evaluate`` maps a list of bandwidth tuples to their objective
+    values (``inf`` marks a failed candidate).  Ties break toward the
+    smaller bandwidth because the candidate grid is ascending and
+    ``argmin`` takes the first hit.
     """
     trial = h.copy()
-    vals = np.empty(cands.size)
-    for a, cand in enumerate(cands):
+    keys = []
+    for cand in cands:
         trial[j] = cand
-        vals[a] = objective(tuple(trial))
+        keys.append(tuple(trial))
+    vals = np.array(evaluate(keys), dtype=float)
     best = int(np.argmin(vals))
     if not np.isfinite(vals[best]):
         raise SelectorFailureError(f"every bandwidth candidate failed on axis {j}")
@@ -304,11 +344,17 @@ def _grid_search(fits, criterion, spec: BandwidthSearchSpec, method: str, once=F
             memo[key] = val
         return val
 
+    def evaluate(keys):
+        # The scan's caches are built up front, so that they can be built
+        # in parallel; the fits themselves stay in order for warm starts.
+        fits.prepare([key for key in keys if key not in memo])
+        return [objective(key) for key in keys]
+
     def update(prev, flags):
         h = prev.copy()
         for j in range(h.size):
             # The last scan ends at h, so its minimum is the criterion there.
-            crit = _scan(objective, spec.candidates, h, j)
+            crit = _scan(evaluate, spec.candidates, h, j)
         return h, crit
 
     return _outer_loop(fits, update, spec, method, once=once)

@@ -30,8 +30,10 @@ from .data import Dataset, Grid
 from .errors import SamplerDegenerateError, SmoothfitError
 from .kernels import get_kernel
 from .selectors import (
+    _SMOOTHERS,
     BandwidthSearchSpec,
     _ase_criterion,
+    _check_smoother,
     _grid_search,
     _MarginalFit,
     oracle_ase_bandwidth,
@@ -101,12 +103,20 @@ class SimConfig:
         if self.selectors:
             chosen = tuple(self.selectors)
         else:
-            chosen = tuple(s for s in valid if s != "pl_coord")
+            chosen = tuple(
+                s for s in valid if s != "pl_coord" and self.smoother in _SMOOTHERS[s]
+            )
+            if not chosen:
+                raise ValueError(
+                    f"model {self.model!r} has no selector for smoother "
+                    f"{self.smoother!r}"
+                )
         for name in chosen:
             if name not in valid:
                 raise ValueError(
                     f"selector {name!r} not available for model {self.model!r}"
                 )
+            _check_smoother(name, self.smoother)
         object.__setattr__(self, "selectors", chosen)
 
     @property
@@ -444,12 +454,14 @@ def run_study(config: SimConfig) -> SimReport:
     affected selector's averages; everything else proceeds.  With
     ``config.workers > 1`` replicates run in parallel processes (at most
     one per replicate and per CPU), with identical results to a serial
-    run.
+    run; each of those processes builds its caches on one thread.
     """
     reps = range(config.replicates)
     workers = _pool_size(config)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_engine._build_serially
+        ) as pool:
             records = list(pool.map(_run_replicate, [config] * config.replicates, reps))
     else:
         records = [_run_replicate(config, r) for r in reps]

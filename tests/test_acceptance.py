@@ -46,17 +46,22 @@ def report(criterion, ok, detail):
 @pytest.fixture(scope="session")
 def study_m1_200_r0():
     return run_study(SimConfig(model="m1", n=200, rho=0.0,
-                               replicates=STUDY_REPS, seed=STUDY_SEED))
+                               replicates=STUDY_REPS, seed=STUDY_SEED,
+                               workers=2))
 
 
 @pytest.fixture(scope="session")
 def study_m1_200_r05():
     return run_study(SimConfig(model="m1", n=200, rho=0.5,
-                               replicates=STUDY_REPS, seed=STUDY_SEED))
+                               replicates=STUDY_REPS, seed=STUDY_SEED,
+                               workers=2))
 
 
 @pytest.fixture(scope="session")
 def study_m1_500_r0():
+    # Serial: at n=500 the BLAS products are large enough for BLAS to
+    # start threads of its own in each pool process, and two processes
+    # of two threads on two cores ran this study several times slower.
     return run_study(SimConfig(model="m1", n=500, rho=0.0,
                                replicates=STUDY_REPS, seed=STUDY_SEED))
 
@@ -64,7 +69,8 @@ def study_m1_500_r0():
 @pytest.fixture(scope="session")
 def study_m2_200():
     return run_study(SimConfig(model="m2", n=200, rho=0.0,
-                               replicates=STUDY_REPS, seed=STUDY_SEED))
+                               replicates=STUDY_REPS, seed=STUDY_SEED,
+                               workers=2))
 
 
 def test_criterion_1_exact_identities():

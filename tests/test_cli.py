@@ -198,6 +198,15 @@ class TestSimulate:
             "--selectors", "pls",
         ]) == 2
 
+    @pytest.mark.parametrize("model, selectors", [
+        ("m1", ["--selectors", "pl_star"]), ("m2", []),
+    ])
+    def test_selector_without_nadaraya_watson_exits_2(self, model, selectors):
+        assert main([
+            "simulate", "--model", model, "--n", "100", "--reps", "1",
+            "--smoother", "nw", *selectors,
+        ]) == 2
+
     def test_thread_cap_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SMOOTHFIT_THREADS", "1")
         out = tmp_path / "capped.json"

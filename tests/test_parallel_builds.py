@@ -1,0 +1,167 @@
+"""Cache fills on a thread pool give the serial numbers.
+
+``Workspace.prepare`` builds a scan's (or a solve's) missing axes and
+pairs on worker threads at large n.  These tests force it on at small n
+(work threshold 1) with more threads than a small machine has cores and
+a short switch interval, and compare every selection with the serial
+one bitwise.
+"""
+
+import multiprocessing
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from smoothfit import (
+    BandwidthSearchSpec,
+    Dataset,
+    Grid,
+    SimConfig,
+    generate,
+    oracle_ase_bandwidth,
+    run_study,
+    select_pl_star,
+    select_pls,
+)
+from smoothfit import _engine
+
+GRID = Grid.regular(25)
+
+
+@pytest.fixture
+def threads(monkeypatch):
+    """Counts axis builds and pair products run off the main thread, and
+    returns a switch that sends every later cache fill through a fresh
+    four-thread pool."""
+    seen = {"axis": [], "pair": 0}
+    lock = threading.Lock()
+    axis_cls, pair_fn = _engine._AxisStats, _engine._pair_product
+
+    def on_worker():
+        return threading.current_thread() is not threading.main_thread()
+
+    class Axis(axis_cls):
+        __slots__ = ()
+
+        def __init__(self, ws, j, h, slopes):
+            if on_worker():
+                with lock:
+                    seen["axis"].append((j, h))
+            super().__init__(ws, j, h, slopes)
+
+    def pair(*args):
+        if on_worker():
+            with lock:
+                seen["pair"] += 1
+        return pair_fn(*args)
+
+    monkeypatch.setattr(_engine, "_AxisStats", Axis)
+    monkeypatch.setattr(_engine, "_pair_product", pair)
+    interval = sys.getswitchinterval()
+    enabled = []
+
+    def enable():
+        monkeypatch.setattr(_engine, "_PARALLEL_WORK", 1)
+        monkeypatch.setattr(_engine, "_build_threads", 4)
+        monkeypatch.setattr(_engine, "_build_pool", None)
+        sys.setswitchinterval(1e-5)
+        enabled.append(True)
+
+    enable.seen = seen
+    yield enable
+    sys.setswitchinterval(interval)
+    if enabled and _engine._build_pool is not None:
+        _engine._build_pool.shutdown(wait=True)
+
+
+@pytest.fixture(scope="module")
+def m1_sample():
+    cfg = SimConfig(model="m1", n=300, rho=0.5, seed=31)
+    data, truth = generate(cfg, 0)
+    return data, truth, cfg.search_spec()
+
+
+def _fields(sel):
+    return (
+        sel.bandwidths.tobytes(),
+        sel.method,
+        sel.outer_iterations,
+        sel.converged,
+        sel.criterion,
+        [(t["h"].tobytes(), t["criterion"]) for t in sel.trace],
+        sel.flags,
+    )
+
+
+def _selections(data, truth, spec):
+    return [
+        _fields(sel)
+        for sel in (
+            select_pls(data, "ll", spec, GRID),
+            select_pls(data, "nw", spec, GRID),
+            select_pl_star(data, spec, GRID),
+            oracle_ase_bandwidth(data, truth.total, "ll", spec, grid=GRID),
+        )
+    ]
+
+
+def test_threaded_fills_select_bitwise_what_serial_fills_select(m1_sample, threads):
+    data, truth, spec = m1_sample
+    serial = _selections(data, truth, spec)
+    assert threads.seen == {"axis": [], "pair": 0}
+    threads()
+    threaded = _selections(data, truth, spec)
+    assert threads.seen["axis"] and threads.seen["pair"]
+    assert threaded == serial
+
+
+def test_failed_build_in_a_worker_is_one_failed_candidate(threads):
+    # With one covariate, a bandwidth far below the grid spacing leaves
+    # observations with no grid mass, so that candidate's axis build
+    # raises EmptyNeighborhoodError.
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 1.0, (300, 1))
+    data = Dataset(x=x, y=x[:, 0] ** 2 + rng.normal(0.0, 0.1, 300))
+    spec = BandwidthSearchSpec(candidates=[0.004, 0.1, 0.15, 0.2, 0.3], h0=[0.1])
+    serial = _fields(select_pls(data, "ll", spec, GRID))
+    threads()
+    threaded = _fields(select_pls(data, "ll", spec, GRID))
+    assert (0, 0.004) in threads.seen["axis"]
+    assert threaded == serial
+    assert serial[-1] == ["1 candidate fits failed"]
+
+
+def test_no_pool_below_the_work_threshold(m1_sample, threads, monkeypatch):
+    # n <= 500 on the default grid always builds on the calling thread.
+    assert 500 * GRID.size < _engine._PARALLEL_WORK
+    monkeypatch.setattr(_engine, "_build_threads", 2)
+    monkeypatch.setattr(_engine, "_build_pool", None)
+    data, truth, spec = m1_sample
+    _selections(data, truth, spec)
+    assert _engine._build_pool is None
+    assert threads.seen == {"axis": [], "pair": 0}
+
+
+def _select_in_child(data, spec):
+    return select_pls(data, "nw", spec, GRID).bandwidths
+
+
+def test_processes_started_after_a_threaded_build_finish(m1_sample, threads):
+    data, _, spec = m1_sample
+    threads()
+    expected = select_pls(data, "nw", spec, GRID).bandwidths
+    assert threads.seen["axis"]
+    # A study's worker processes build serially; a forked child builds
+    # on a pool of its own instead of its parent's dead threads.
+    base = dict(model="m1", n=60, replicates=2, seed=13, selectors=("pls",),
+                search_num=8)
+    serial = run_study(SimConfig(workers=1, **base))
+    pooled = run_study(SimConfig(workers=2, **base))
+    assert pooled.replicates == serial.replicates
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        h = pool.apply_async(_select_in_child, (data, spec)).get(timeout=60)
+    assert h.tobytes() == expected.tobytes()

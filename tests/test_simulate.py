@@ -112,6 +112,15 @@ class TestSimConfig:
             "ase", "pls", "pl", "pl_star",
         )
         assert SimConfig(model="m2", n=100).selectors == ("ase1", "pls1", "pl1")
+        assert SimConfig(model="m1", n=100, smoother="nw").selectors == ("ase", "pls")
+
+    @pytest.mark.parametrize("model, selectors", [
+        ("m1", ("pl",)), ("m1", ("pl_coord",)), ("m1", ("pls", "pl_star")),
+        ("m2", ()), ("m2", ("pls1",)),
+    ])
+    def test_nadaraya_watson_needs_a_backfit_grid_search(self, model, selectors):
+        with pytest.raises(ValueError, match="smoother"):
+            SimConfig(model=model, n=100, smoother="nw", selectors=selectors)
 
 
 @pytest.fixture(scope="module")
