@@ -6,24 +6,44 @@ hundreds of backfits over a fixed candidate grid, so these caches (plus
 warm starts) dominate the running time.
 
 Layout.  A workspace starts level-only, which is all the Nadaraya-Watson
-smoother reads.  Per (axis, bandwidth), ``_AxisStats`` then keeps the
-grid-normalized kernel weights ``w`` (G x n), the marginal density and
-the kernel-weighted response sums; its slope weights ``b`` are empty.
-Per ordered axis pair (a, b), a < b, the pair cache holds the sample
-average of outer products ``w_a @ w_b.T / n`` (G x G).
-
-The first local linear request (``ll_solve`` or ``Workspace.ll_marginal``)
+smoother reads.  Per (axis, bandwidth), ``_AxisStats`` keeps the
+grid-normalized kernel weights ``w``, the marginal density and the
+kernel-weighted response sums; its slope weights ``b`` are empty.  The
+first local linear request (``ll_solve`` or ``Workspace.ll_marginal``)
 switches the workspace to (level, slope) statistics for good, before it
 fetches any axis.  The switch drops every cached axis and pair, and from
-then on each axis is built whole: ``w`` and the offset-weighted weights
-``b = w * (X - u)`` are the two halves of one contiguous (2G, n) array
-``wb``, and each pair product is the stacked ``wb_a @ wb_b.T / n``, the
-2G x 2G block ``[[s11, s21], [s12, s22]]`` with rows on axis a's (level,
-slope) and columns on axis b's.  No entry is ever upgraded in place.
-Either layout serves both solvers: the local linear solver reads the
-whole block, the Nadaraya-Watson solver its top-left G x G corner, which
-is ``w_a @ w_b.T / n`` in both.  Asking a level-only axis for local
-linear statistics is an internal error and raises.
+then on each axis also keeps the offset-weighted weights
+``b = w * (X - u)``.  No entry is ever upgraded in place, and asking a
+level-only axis for local linear statistics is an internal error.
+
+The weights are banded.  Kernels vanish outside [-1, 1] (the contract of
+``KernelSpec``), so an observation's weights are nonzero only at the grid
+points within h of it.  The workspace sorts each axis once; per (axis,
+bandwidth), ``w`` and ``b`` hold, in that order, the ``width`` <= G
+weights of each observation from its first grid point on.  Observations
+with the same first grid point form contiguous runs, and the statistics
+are sums over the runs.  Where the runs would be short on average
+(n < ``_BAND_RUN`` * (G - width + 1)), or the support spans the grid, the
+band is the whole grid in input order as one run: dense weights, as at
+n = 200.  At large n, then, no (G, n) array outlives the call that needs
+it.  On an n = 20000 local linear ``pls`` selection the kept weights take
+about a third of the dense ones, and ``smoothfit select`` peaks at about
+250 MB instead of 650 MB.
+
+Per ordered axis pair (a, b), a < b, the pair cache holds the sample
+average of outer products of the weights, G x G level-only and the
+stacked 2G x 2G block ``[[s11, s21], [s12, s22]]`` (rows on axis a's
+(level, slope), columns on axis b's) after the switch.  It is built from
+small products per run of one axis, the band side, against the other
+axis's weights laid out densely in the band side's order.  The key alone
+picks the band side, so a block never depends on which scan, solve or
+thread built it: the wider band, ties going to axis a.  (The wider band
+has fewer runs, and selections settle in the narrow part of the search
+box, so in a coordinate scan the wider band is mostly the scanned
+candidate, and the fixed axes are laid out once for all candidates.)
+The level block is a product of its own, so it holds the same numbers on
+either layout, and a Nadaraya-Watson fit does not depend on whether the
+workspace has switched.
 
 Solvers.  Once per solve, each solver stacks the pair blocks into one
 coupling operator per axis, ``ops[j]`` of shape (r, d * r) with r = G
@@ -35,19 +55,20 @@ update of axis j is then one matrix-vector product,
 ``new_j = c_j - m0 * q_j - ops[j] @ z``, with ``c_j`` the marginal fit,
 ``m0`` the intercept and ``q_j`` the smoother applied to a constant.
 
-Parallel fills.  Before a coordinate scan and before each solve,
+Ahead-of-time fills.  Before a coordinate scan and before each solve,
 ``Workspace.prepare`` builds the missing axes, then the missing pairs,
-that the coming backfits read, on a thread pool with one thread per CPU
-available to the process.  It runs only where one axis build covers at
-least ``_PARALLEL_WORK`` (n * G) weights; below that the hand-off costs
-more than a second core saves, so small samples stay serial.  Workers
-run the same code on the same inputs as an on-demand build, and the
-results enter the caches from the calling thread, so every number is
-bitwise the one a serial fill gives.  Processes of a study's process
-pool build serially; a forked child starts its own pool.  The extra
-memory is about one more build's temporaries in flight.  The benchmark
-tracer counts cache lookups, so an entry built ahead of its lookup reads
-as a hit there.
+that the coming backfits read.  It runs only where one axis build covers
+at least ``_PARALLEL_WORK`` (n * G) weights; below that the hand-off
+costs more than it saves.  The axes are built on a thread pool with one
+thread per CPU available to the process.  The pairs are built on the
+calling thread, grouped so that each partner is laid out once per band
+side's axis: their many small products gain nothing from a second thread
+under the interpreter lock.  Workers run the same code on the same inputs
+as an on-demand build, and the results enter the caches from the calling
+thread, so every number is bitwise the one a serial fill gives.
+Processes of a study's process pool build serially; a forked child starts
+its own pool.  The benchmark tracer counts cache lookups, so an entry
+built ahead of its lookup reads as a hit there.
 
 Not part of the public API.
 """
@@ -69,7 +90,7 @@ from .errors import (
     SmoothfitError,
 )
 from .kernels import KernelSpec
-from .density import _raw_weights
+from .density import _band_weights
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_SWEEPS = 200
@@ -82,13 +103,30 @@ _SING_RTOL = 1e-12
 _RIDGE_SCALE = 1e-9
 
 
-# Cache fills run on a thread pool only when one axis build handles at
-# least this many (grid point, observation) weights, n * G.  Measured
-# with `smoothfit select` on two cores, one BLAS thread and G = 25, the
-# threaded time over the serial one was 0.99-1.13 at n = 500, 0.94-1.01
-# at n = 2000 and 0.81 (pls, either smoother) or 1.07 (pl_star) at
-# n = 5000, so the threshold lies between the last two.
+# ``Workspace.prepare`` fills caches ahead of a scan or solve only when
+# one axis build handles at least this many (grid point, observation)
+# weights, n * G.  Measured with `smoothfit select` on two cores, one BLAS
+# thread and G = 25 (with dense weights, all on the pool), the threaded
+# time over the serial one was 0.99-1.13 at n = 500, 0.94-1.01 at
+# n = 2000 and 0.81 (pls, either smoother) or 1.07 (pl_star) at n = 5000,
+# so the threshold lies between the last two.
 _PARALLEL_WORK = 1 << 16
+
+# An axis is stored banded only where its runs of observations with the
+# same first grid index are long enough, on average, to pay for a small
+# product each: n >= _BAND_RUN * (G - width + 1); a band as wide as the
+# grid is always dense.  Measured on m1 samples with one BLAS thread and
+# G = 25, banded over dense: at n = 300 (mean runs of 14-38) axis builds
+# took 2-4.5x and pair products 4-9x as long; at n = 5000 (217-1250)
+# builds 0.25-1.1x and on-demand pair products 0.8-2x, with a third of
+# the memory or less.
+_BAND_RUN = 200
+
+# Grid points within h + _SUPPORT_SLACK of an observation are kept in its
+# band: far above the rounding of ``x - u`` for x, u in [0, 1], so the
+# band holds every grid point where a kernel that vanishes outside
+# [-1, 1] can be nonzero.
+_SUPPORT_SLACK = 1e-12
 
 
 def _available_cpus() -> int:
@@ -137,20 +175,24 @@ if hasattr(os, "register_at_fork"):
 
 
 def _run_builds(pool, build, calls: list) -> list:
-    """``[build(*args) for args in calls]`` on ``pool``, with None for
-    every call that raised a SmoothfitError; other errors propagate."""
-    futures = [pool.submit(build, *args) for args in calls]
-    results = []
+    """``[build(*args) for args in calls]``, on ``pool`` unless it is
+    None, with None for every call that raised a SmoothfitError; other
+    errors propagate."""
+
+    def run(args):
+        try:
+            return build(*args)
+        except SmoothfitError:
+            return None
+
+    if pool is None:
+        return [run(args) for args in calls]
+    futures = [pool.submit(run, args) for args in calls]
     try:
-        for future in futures:
-            try:
-                results.append(future.result())
-            except SmoothfitError:
-                results.append(None)
+        return [future.result() for future in futures]
     finally:
         for future in futures:
             future.cancel()
-    return results
 
 
 def _ridged_inverse(m00, m01, m11, j, points):
@@ -172,41 +214,82 @@ def _ridged_inverse(m00, m01, m11, j, points):
 
 
 class _AxisStats:
-    """Per-(axis, bandwidth) smoothing state.
+    """Per-(axis, bandwidth) smoothing state, in banded storage.
 
-    ``wb`` holds the weights the pair products read: ``w`` alone for a
-    level-only axis (``b`` is then an empty (0, n) array and the slope
-    statistics are None), ``w`` over ``b`` when built with slopes.
+    Columns run over the observations in ``order`` (the axis's sort
+    order; None for input order), and ``runs`` lists each run of
+    observations with the same first grid index as ``(first, start,
+    stop)``: the ``width`` rows of columns ``start:stop`` hold their
+    weights at grid points ``first .. first + width - 1``.  ``wb`` holds
+    the weights the pair products read: the grid-normalized kernel
+    weights ``w`` over, when built with slopes, the offset-weighted
+    weights ``b = w * (X - u)``; without slopes ``b`` is an empty (0, n)
+    array and the slope statistics are None.  A dense axis has width G,
+    input order and one run.
     """
 
-    __slots__ = ("wb", "w", "b", "p", "p1", "m11", "a0", "a1", "_inv", "_nw", "_ll")
+    __slots__ = (
+        "wb", "w", "b", "width", "runs", "order", "rank",
+        "p", "p1", "m11", "a0", "a1", "_inv", "_nw", "_ll",
+    )
 
     def __init__(self, ws: "Workspace", j: int, h: float, slopes: bool):
-        xj = ws.data.x[:, j]
         g, n = ws.grid.size, ws.data.n
-        offset = xj[None, :] - ws.grid.points[:, None]
+        x, y = ws.data.x[:, j], ws.data.y
+        self.order = self.rank = None
+        self.runs = [(0, 0, n)]
+        self.width = g
+        # A band narrower than the grid has at least two runs.
+        if n >= 2 * _BAND_RUN:
+            order = ws._order[j]
+            xs = x[order]
+            # Grid points within h of each observation, with a slack far
+            # above rounding, hold its kernel support; ``width`` is the
+            # widest count.  (Sorted queries make the searches faster.)
+            points, reach = ws.grid.points, h + _SUPPORT_SLACK
+            lo = np.searchsorted(points, xs - reach)
+            width = int((np.searchsorted(points, xs + reach, side="right") - lo).max())
+            if 0 < width < g and n >= _BAND_RUN * (g - width + 1):
+                self.order, self.rank, self.width = order, ws._rank[j], width
+                x, y = xs, y[order]
+                first = np.minimum(lo, g - width)
+                cut = (np.flatnonzero(np.diff(first)) + 1).tolist()
+                self.runs = list(zip(first[[0, *cut]].tolist(), [0, *cut], [*cut, n]))
+        width = self.width
+        self.wb = np.empty((2 * width if slopes else width, n))
+        self.w, self.b = self.wb[:width], self.wb[width:]
         try:
-            raw, mass = _raw_weights(ws.kernel, h, ws.grid, xj, offset)
+            _, offset = _band_weights(
+                ws.kernel, h, ws.grid, x, width, self.runs, self.rank, out=self.w
+            )
         except EmptyNeighborhoodError as err:
             raise EmptyNeighborhoodError(j, err.where, f"bandwidth {h:g}") from None
-        # The weights go straight into their slot of ``wb``, allocated
-        # only once the kernel's temporaries are gone.
-        self.wb = np.empty((2 * g if slopes else g, n))
-        self.w = np.divide(raw, mass, out=self.wb[:g])
-        del raw
+        self.p = self._total(g, self.w)
+        self.a0 = self._total(g, self.w, y)
         if slopes:
-            self.b = np.multiply(self.w, offset, out=self.wb[g:])
-            self.p1 = self.b.sum(axis=1) / n
-            self.m11 = np.multiply(self.b, offset, out=offset).sum(axis=1) / n
-            self.a1 = self.b @ ws.data.y / n
+            np.multiply(self.w, offset, out=self.b)
+            self.p1 = self._total(g, self.b)
+            self.m11 = self._total(g, np.multiply(self.b, offset, out=offset))
+            self.a1 = self._total(g, self.b, y)
         else:
-            self.b = np.empty((0, n))
             self.p1 = self.m11 = self.a1 = None
-        self.p = self.w.sum(axis=1) / n
-        self.a0 = self.w @ ws.data.y / n
         self._inv = None
         self._nw = None
         self._ll = None
+
+    def _total(self, g: int, rows: np.ndarray, y=None) -> np.ndarray:
+        """Per grid point, the sample mean of the banded ``rows`` (times
+        ``y`` when given), as a length-G array."""
+        if self.order is None:
+            out = rows.sum(axis=1) if y is None else rows @ y
+        else:
+            out = np.zeros(g)
+            for first, start, stop in self.runs:
+                block = rows[:, start:stop]
+                out[first : first + self.width] += (
+                    block.sum(axis=1) if y is None else block @ y[start:stop]
+                )
+        return out / rows.shape[1]
 
     def nw_marginal(self, ws: "Workspace", j: int) -> np.ndarray:
         if self._nw is None:
@@ -237,9 +320,77 @@ class _AxisStats:
         return self._ll
 
 
-def _pair_product(sa: _AxisStats, sb: _AxisStats, n: int) -> tuple:
-    """The cached pair entry of two axes: ``(wb_a @ wb_b.T / n,)``."""
-    return (sa.wb @ sb.wb.T / n,)
+def _band_side(sa: _AxisStats, sb: _AxisStats) -> bool:
+    """Whether the second axis of a pair is its band side: the wider band,
+    ties going to the lower axis, so the key alone decides."""
+    return sb.width > sa.width
+
+
+def _lay_out(st: _AxisStats, order, g: int, buf=None) -> np.ndarray:
+    """The weights of ``st`` as one dense array, level rows over slope
+    rows ((G, n) or (2G, n)), with columns in ``order``, the band side's
+    (None for input order).
+
+    A dense axis in input order is returned as it is (``wb``).  Otherwise
+    the weights are written into ``buf``, of G more rows than that for
+    scratch, or into a fresh array.
+    """
+    if order is None and st.order is None:
+        return st.wb
+    halves = (st.w, st.b) if st.b.size else (st.w,)
+    rows = len(halves) * g
+    if buf is None:
+        buf = np.empty((rows + g, st.w.shape[1]))
+    if st.order is None:
+        pos = order
+    else:
+        pos = st.rank if order is None else st.rank[order]
+    scratch = buf[rows : rows + g]
+    for i, half in enumerate(halves):
+        if st.order is not None:
+            # Dense in the axis's own order, by runs, then one gather.
+            scratch.fill(0.0)
+            for first, start, stop in st.runs:
+                scratch[first : first + st.width, start:stop] = half[:, start:stop]
+            half = scratch
+        # Every index is in range; 'clip' skips the bounds pass and the
+        # copy through a temporary that 'raise' makes for ``out``.
+        np.take(half, pos, axis=1, out=buf[i * g : (i + 1) * g], mode="clip")
+    return buf[:rows]
+
+
+def _pair_product(ws: "Workspace", sa: _AxisStats, sb: _AxisStats, layout=None) -> tuple:
+    """The cached pair entry of axes a < b: ``(s,)`` with ``s`` the sample
+    average of outer products of their weights, rows on a's (level[,
+    slope]) and columns on b's; G x G level-only, else 2G x 2G.
+
+    Per run of the band side, small products against the other axis laid
+    out densely in the band side's order (``layout``, from ``_lay_out``,
+    or laid out here).  The level block is a product of its own, so it
+    holds the same numbers whether or not slopes were built.  A dense
+    band side is one run over the whole grid, written in place.
+    """
+    flip = _band_side(sa, sb)
+    band, other = (sb, sa) if flip else (sa, sb)
+    g, k = ws.grid.size, band.width
+    if layout is None:
+        layout = _lay_out(other, band.order, g)
+    slopes = band.b.size > 0
+    out = np.zeros((len(layout), len(layout)))
+    prod = out if k == g else np.empty((len(band.wb), len(layout)))
+    for first, start, stop in band.runs:
+        lay = layout[:, start:stop].T
+        w = band.w[:, start:stop]
+        np.matmul(w, lay[:, :g], out=prod[:k, :g])
+        if slopes:
+            np.matmul(w, lay[:, g:], out=prod[:k, g:])
+            np.matmul(band.b[:, start:stop], lay, out=prod[k:])
+        if prod is not out:
+            out[first : first + k] += prod[:k]
+            if slopes:
+                out[g + first : g + first + k] += prod[k:]
+    out /= ws.data.n
+    return (out.T if flip else out,)
 
 
 class Workspace:
@@ -254,6 +405,10 @@ class Workspace:
         self._axes: dict = {}
         self._pairs: dict = {}
         self._slopes = False
+        # Each axis's sort order and its inverse, for banded axes.
+        self._order = np.argsort(data.x, axis=0, kind="stable").T
+        self._rank = np.empty_like(self._order)
+        np.put_along_axis(self._rank, self._order, np.arange(data.n), axis=1)
         pos = data.x * (grid.size - 1)
         idx = np.clip(pos.astype(int), 0, grid.size - 2)
         self._idx = idx
@@ -290,23 +445,23 @@ class Workspace:
         return self.axis(j, h).ll_marginal(self, j)
 
     def prepare(self, keys) -> None:
-        """Build, in parallel, the missing axes and pairs that backfits at
-        the bandwidth tuples ``keys`` read; a no-op below ``_PARALLEL_WORK``
-        or on one CPU.
+        """Build the missing axes and pairs that backfits at the bandwidth
+        tuples ``keys`` read; a no-op below ``_PARALLEL_WORK``.
 
-        Axes are built first, then the pairs that read them.  Worker
-        threads run only ``_AxisStats`` and ``_pair_product``; the results
-        enter the caches from this thread, in sorted key order, so every
-        entry holds the same numbers as when built on demand.  An entry
-        whose build raises a SmoothfitError stays unbuilt, and the solve
-        that needs it raises that error itself.
+        Axes are built first, on the build pool where there is one;
+        worker threads run only ``_AxisStats``, and the results enter the
+        cache from this thread in sorted key order.  Then this thread
+        builds the pairs that read them, grouped so that each partner is
+        laid out once per band side's axis, into one buffer the call
+        reuses.  Every entry holds the same numbers as when built on
+        demand.  An axis whose build raises a SmoothfitError stays
+        unbuilt, with its pairs, and the solve that needs it raises that
+        error itself.
         """
         if self.data.n * self.grid.size < _PARALLEL_WORK:
             return
         pool = _pool()
-        if pool is None:
-            return
-        d, n = self.data.d, self.data.n
+        d = self.data.d
         axes = {(j, float(h[j])) for h in keys for j in range(d)}
         axes = sorted(axes - self._axes.keys())
         calls = [(self, j, h, self._slopes) for j, h in axes]
@@ -319,31 +474,42 @@ class Workspace:
             for a in range(d)
             for b in range(a + 1, d)
         }
-        pairs = [
-            (a, b, ha, hb)
-            for a, b, ha, hb in sorted(pairs - self._pairs.keys())
-            if (a, ha) in self._axes and (b, hb) in self._axes
-        ]
-        # Through ``axis``, like an on-demand pair build, so that counts of
-        # cache lookups do not depend on who built the pair (all hits).
-        calls = [(self.axis(a, ha), self.axis(b, hb), n) for a, b, ha, hb in pairs]
-        for key, blocks in zip(pairs, _run_builds(pool, _pair_product, calls)):
-            if blocks is not None:
-                self._pairs[key] = blocks
+        groups = {}
+        for a, b, ha, hb in sorted(pairs - self._pairs.keys()):
+            if (a, ha) in self._axes and (b, hb) in self._axes:
+                # Through ``axis``, like an on-demand pair build, so that
+                # counts of cache lookups do not depend on who built the
+                # pair (all hits).
+                sa, sb = self.axis(a, ha), self.axis(b, hb)
+                flip = _band_side(sa, sb)
+                band, other = (sb, sa) if flip else (sa, sb)
+                # Pairs whose band sides share an order and whose other
+                # axis is the same entry read one layout of it.
+                shared = (b if flip else a, band.order is None, id(other))
+                group = groups.setdefault(shared, (band, other, []))
+                group[2].append(((a, b, ha, hb), sa, sb))
+        if not groups:
+            return
+        g = self.grid.size
+        buf = np.empty(((3 if self._slopes else 2) * g, self.data.n))
+        for band, other, group in groups.values():
+            layout = _lay_out(other, band.order, g, buf)
+            for key, sa, sb in group:
+                self._pairs[key] = _pair_product(self, sa, sb, layout)
 
     def _pair_blocks(self, a: int, b: int, ha: float, hb: float):
         """Coupling products for the ordered axis pair (a, b), a < b.
 
         Returns a one-element tuple: the sample average of outer products
-        of the weights, ``wb_a @ wb_b.T / n``, which is ``w_a @ w_b.T / n``
-        (G x G) on a level-only workspace and the stacked 2G x 2G block
-        once it has switched to slopes.
+        of the two axes' weights, ``w_a @ w_b.T / n`` (G x G) on a
+        level-only workspace and the stacked 2G x 2G block of (level,
+        slope) halves once it has switched to slopes.
         """
         key = (a, b, float(ha), float(hb))
         blocks = self._pairs.get(key)
         if blocks is None:
             sa, sb = self.axis(a, ha), self.axis(b, hb)
-            blocks = self._pairs[key] = _pair_product(sa, sb, self.data.n)
+            blocks = self._pairs[key] = _pair_product(self, sa, sb)
         return blocks
 
     def coupling(self, h, r: int) -> np.ndarray:

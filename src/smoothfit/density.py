@@ -117,25 +117,41 @@ def weight_matrix(kernel: KernelSpec, h: float, grid: Grid, x: np.ndarray) -> np
         so no grid mass covers it.
     """
     x = np.asarray(x, dtype=float).ravel()
-    raw, mass = _raw_weights(kernel, h, grid, x, x[None, :] - grid.points[:, None])
-    return raw / mass
+    return _band_weights(kernel, h, grid, x, grid.size, [(0, 0, x.size)])[0]
 
 
-def _raw_weights(kernel, h, grid, x, offset):
-    """Kernel values at the offsets ``x[None, :] - grid.points[:, None]``
-    and their trapezoid mass per observation: ``weight_matrix`` is their
-    quotient.  Callers that also need the offsets compute them once and
-    divide into storage of their own.  Raises as ``weight_matrix``."""
+def _band_weights(kernel, h, grid, x, width, runs, rank=None, out=None):
+    """Grid-normalized kernel weights on a band of the grid (written into
+    ``out`` when given), and the offsets ``X - u`` they were taken at,
+    both of shape (width, n).
+
+    Each run ``(first, start, stop)`` gives the observations
+    ``x[start:stop]`` the ``width`` grid points from index ``first`` on,
+    which must hold every grid point where their kernel is nonzero.
+    ``weight_matrix`` is the one run over the whole grid.  ``rank`` maps
+    input positions to positions in ``x`` (None: ``x`` is in input
+    order), so that an empty neighborhood is reported at the first such
+    observation in input order.  Raises as ``weight_matrix``.
+    """
     if not np.isscalar(h) or h <= 0:
         raise InvalidBandwidthError(f"bandwidth must be a positive scalar, got {h!r}")
+    offset = np.empty((width, x.size))
+    for first, start, stop in runs:
+        np.subtract(x[start:stop], grid.points[first : first + width, None],
+                    out=offset[:, start:stop])
     raw = kernel.fn(offset / h)
-    mass = grid.weights @ raw
+    mass = np.empty(x.size)
+    for first, start, stop in runs:
+        np.matmul(grid.weights[first : first + width], raw[:, start:stop],
+                  out=mass[start:stop])
     if np.any(mass <= 0.0):
+        if rank is not None:
+            x, mass = x[rank], mass[rank]
         i = int(np.argmin(mass))
         raise EmptyNeighborhoodError(
             axis=None, where=float(x[i]), detail=f"observation {i}, bandwidth {h:g}"
         )
-    return raw, mass
+    return np.divide(raw, mass, out=out), offset
 
 
 def _check_axis(data: Dataset, j: int) -> np.ndarray:

@@ -1,0 +1,185 @@
+"""Banded kernel weights against the dense definition.
+
+A workspace keeps, per (axis, bandwidth), only the grid points each
+observation's kernel support can reach, with the observations in the
+axis's sort order.  These tests scatter the band back and compare it and
+its statistics with ``weight_matrix``; check that a pair block depends on
+its key alone, not on who built it; and bound the memory the caches keep.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from smoothfit import (
+    BIWEIGHT,
+    EPANECHNIKOV,
+    Dataset,
+    Grid,
+    SimConfig,
+    backfit_ll,
+    backfit_nw,
+    custom_kernel,
+    generate,
+    select_pls,
+    weight_matrix,
+)
+from smoothfit import _engine
+from smoothfit.errors import EmptyNeighborhoodError
+
+GRID = Grid.regular(25)
+
+# Nonzero up to and including |t| = 1, where the built-in kernels vanish.
+UNIFORM = custom_kernel(lambda t: np.where(np.abs(t) <= 1.0, 0.5, 0.0), "uniform")
+
+
+def _scattered(st, g):
+    """The band of ``st`` back in dense (G, n) form and input order, and
+    the mask of the entries it stores."""
+    n = st.w.shape[1]
+    dense, inside = np.zeros((g, n)), np.zeros((g, n), dtype=bool)
+    for first, start, stop in st.runs:
+        dense[first : first + st.width, start:stop] = st.w[:, start:stop]
+        inside[first : first + st.width, start:stop] = True
+    if st.order is not None:
+        dense[:, st.order], inside[:, st.order] = dense.copy(), inside.copy()
+    return dense, inside
+
+
+def _close(got, want, rtol):
+    np.testing.assert_allclose(got, want, rtol=0, atol=rtol * np.abs(want).max())
+
+
+@st.composite
+def _samples(draw):
+    n = draw(st.integers(5, 400))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, (n, 2))
+    # Ties, exact grid points, and both ends of the unit interval.
+    special = rng.choice([0.0, 1.0, 0.5, 1.0 / 24.0, 0.3], size=n // 3)
+    x[: n // 3, 0] = special
+    x[n // 3 : n // 2, 0] = np.round(x[n // 3 : n // 2, 0] * 48) / 48
+    return Dataset(x=x, y=rng.normal(0.0, 1.0, n))
+
+
+@given(
+    data=_samples(),
+    h=st.one_of(st.floats(0.004, 1.0), st.sampled_from([1 / 48, 1 / 24, 2 / 24, 0.5])),
+    kernel=st.sampled_from([BIWEIGHT, EPANECHNIKOV, UNIFORM]),
+    grid=st.sampled_from([GRID, Grid.regular(9)]),
+)
+@settings(max_examples=120, deadline=None)
+def test_band_matches_the_dense_weights(data, h, kernel, grid):
+    # Band every axis narrower than the grid, whatever n.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_engine, "_BAND_RUN", 0)
+        _check_band(data, h, kernel, grid)
+
+
+def _check_band(data, h, kernel, grid):
+    g, n = grid.size, data.n
+    x = data.x[:, 0]
+    try:
+        w = weight_matrix(kernel, h, grid, x)
+    except EmptyNeighborhoodError as dense_err:
+        ws = _engine.Workspace(data, grid, kernel)
+        with pytest.raises(EmptyNeighborhoodError) as band_err:
+            ws.switch_to_slopes()
+            ws.axis(0, h)
+        assert band_err.value.axis == 0
+        assert band_err.value.where == dense_err.where
+        return
+    ws = _engine.Workspace(data, grid, kernel)
+    ws.switch_to_slopes()
+    ax = ws.axis(0, h)
+    assert ax.width <= g and ax.w.shape == ax.b.shape == (ax.width, n)
+    assert (ax.order is None) == (ax.width == g)
+    dense, inside = _scattered(ax, g)
+    assert not np.any(w[~inside])
+    np.testing.assert_allclose(dense, w, rtol=1e-14, atol=0)
+    offset = x[None, :] - grid.points[:, None]
+    _close(ax.p, w.mean(axis=1), 1e-13)
+    _close(ax.a0, w @ data.y / n, 1e-13)
+    _close(ax.p1, (w * offset).mean(axis=1), 1e-13)
+    _close(ax.m11, (w * offset * offset).mean(axis=1), 1e-13)
+    _close(ax.a1, (w * offset) @ data.y / n, 1e-13)
+
+
+def _pair_sources(data, spec, slopes):
+    """Every way a pair block gets built: on demand, in a solve's
+    ``prepare``, in a scan of either axis, and on worker threads."""
+    h = tuple(float(c) for c in spec.candidates[[3, 9, 6]])
+    cands = [float(c) for c in spec.candidates]
+
+    def workspace():
+        ws = _engine.Workspace(data, GRID, BIWEIGHT)
+        if slopes:
+            ws.switch_to_slopes()
+        return ws
+
+    def scan(j):
+        ws = workspace()
+        ws.prepare([h[:j] + (c,) + h[j + 1 :] for c in cands])
+        return ws
+
+    def solve():
+        ws = workspace()
+        ws.prepare([h])
+        return ws
+
+    return h, cands, [workspace, lambda: scan(0), lambda: scan(1), solve]
+
+
+@pytest.mark.parametrize("slopes", [False, True])
+def test_pair_block_depends_on_its_key_alone(slopes, monkeypatch):
+    # n = 600 with the band rule and the fill threshold lowered, so that
+    # banded axes, grouped layouts and worker threads all take part.
+    monkeypatch.setattr(_engine, "_BAND_RUN", 10)
+    monkeypatch.setattr(_engine, "_PARALLEL_WORK", 1)
+    cfg = SimConfig(model="m1", n=600, rho=0.5, seed=8)
+    data, _ = generate(cfg, 0)
+    h, cands, sources = _pair_sources(data, cfg.search_spec(), slopes)
+    keys = [(0, 1, c, h[1]) for c in cands] + [(0, 1, h[0], c) for c in cands]
+    keys += [(0, 2, h[0], h[2]), (1, 2, h[1], h[2])]
+    built = []
+    for threads in (4, 1):
+        monkeypatch.setattr(_engine, "_build_threads", threads)
+        monkeypatch.setattr(_engine, "_build_pool", None)
+        for source in sources:
+            ws = source()
+            built.append([ws._pair_blocks(*key)[0].tobytes() for key in keys])
+        if _engine._build_pool is not None:
+            _engine._build_pool.shutdown(wait=True)
+    assert all(b == built[0] for b in built[1:])
+    # Banded axes on both band sides of the scanned pairs.
+    ws = sources[1]()
+    flips = {_engine._band_side(ws.axis(0, c), ws.axis(1, h[1])) for c in cands}
+    assert flips == {False, True}
+    assert ws.axis(1, h[1]).order is not None
+
+
+def test_nadaraya_watson_does_not_depend_on_the_workspace_history():
+    data, _ = generate(SimConfig(model="m1", n=200, rho=0.5, seed=17), 0)
+    tuples = [(0.1, 0.2, 0.3), (0.25, 0.08, 0.15), (0.4, 0.4, 0.12)]
+    served = _engine.Workspace(data, GRID, BIWEIGHT)
+    for h in tuples:
+        backfit_ll(data, h, GRID, workspace=served)
+    for h in tuples:
+        fresh = backfit_nw(data, h, GRID)
+        again = backfit_nw(data, h, GRID, workspace=served)
+        assert again.components.tobytes() == fresh.components.tobytes()
+        assert again.iterations == fresh.iterations
+
+
+def test_a_large_local_linear_selection_keeps_banded_weights_only():
+    cfg = SimConfig(model="m1", n=5000, rho=0.5, seed=4)
+    data, _ = generate(cfg, 0)
+    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    select_pls(data, "ll", cfg.search_spec(), GRID, workspace=ws)
+    g, n = GRID.size, data.n
+    assert ws._axes
+    for st in ws._axes.values():
+        assert st.w.size < g * n and st.b.size < g * n
+    kept = sum(st.w.nbytes + st.b.nbytes for st in ws._axes.values())
+    assert kept <= len(ws._axes) * 2 * g * n * 8 / 2

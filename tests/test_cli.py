@@ -233,3 +233,22 @@ class TestEntryPoint:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["bandwidths"] == [0.3]
+
+    def test_package_invocation_is_the_cli(self, csv3):
+        proc = subprocess.run(
+            [sys.executable, "-m", "smoothfit", "--help"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert "select" in proc.stdout
+        outs = []
+        for module in ("smoothfit", "smoothfit.cli"):
+            proc = subprocess.run(
+                [sys.executable, "-m", module, "select", csv3, "--candidates", "6",
+                 "--out", "-"],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["command"] == "select"

@@ -1,10 +1,11 @@
 """Cache fills on a thread pool give the serial numbers.
 
-``Workspace.prepare`` builds a scan's (or a solve's) missing axes and
-pairs on worker threads at large n.  These tests force it on at small n
-(work threshold 1) with more threads than a small machine has cores and
-a short switch interval, and compare every selection with the serial
-one bitwise.
+``Workspace.prepare`` builds a scan's (or a solve's) missing axes on
+worker threads at large n, and then its pairs on the calling thread.
+These tests force it on at small n (work threshold 1) with more threads
+than a small machine has cores and a short switch interval, and compare
+every selection with the serial one bitwise, on dense weights (n = 300)
+and on banded ones (n = 2000 on a 9-point grid).
 """
 
 import multiprocessing
@@ -76,11 +77,15 @@ def threads(monkeypatch):
         _engine._build_pool.shutdown(wait=True)
 
 
-@pytest.fixture(scope="module")
-def m1_sample():
-    cfg = SimConfig(model="m1", n=300, rho=0.5, seed=31)
+def _m1(n):
+    cfg = SimConfig(model="m1", n=n, rho=0.5, seed=31)
     data, truth = generate(cfg, 0)
     return data, truth, cfg.search_spec()
+
+
+@pytest.fixture(scope="module")
+def m1_sample():
+    return _m1(300)
 
 
 def _fields(sel):
@@ -95,26 +100,55 @@ def _fields(sel):
     )
 
 
-def _selections(data, truth, spec):
+def _selections(data, truth, spec, grid=GRID):
     return [
         _fields(sel)
         for sel in (
-            select_pls(data, "ll", spec, GRID),
-            select_pls(data, "nw", spec, GRID),
-            select_pl_star(data, spec, GRID),
-            oracle_ase_bandwidth(data, truth.total, "ll", spec, grid=GRID),
+            select_pls(data, "ll", spec, grid),
+            select_pls(data, "nw", spec, grid),
+            select_pl_star(data, spec, grid),
+            oracle_ase_bandwidth(data, truth.total, "ll", spec, grid=grid),
         )
     ]
 
 
-def test_threaded_fills_select_bitwise_what_serial_fills_select(m1_sample, threads):
-    data, truth, spec = m1_sample
-    serial = _selections(data, truth, spec)
+def _threaded_against_serial(n, grid, threads):
+    """Selects serially, then with forced threaded fills, and returns the
+    widths of the serially built axes."""
+    data, truth, spec = _m1(n)
+    widths = []
+
+    class Recording(_engine._AxisStats):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            widths.append(self.width)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_engine, "_AxisStats", Recording)
+        serial = _selections(data, truth, spec, grid)
     assert threads.seen == {"axis": [], "pair": 0}
     threads()
-    threaded = _selections(data, truth, spec)
-    assert threads.seen["axis"] and threads.seen["pair"]
+    threaded = _selections(data, truth, spec, grid)
+    # Axes are built on the workers, pairs on the calling thread.
+    assert threads.seen["axis"] and threads.seen["pair"] == 0
     assert threaded == serial
+    return widths
+
+
+def test_threaded_fills_select_bitwise_what_serial_fills_select(threads):
+    # n = 300 keeps every axis dense (one run over the whole grid).
+    widths = _threaded_against_serial(300, GRID, threads)
+    assert set(widths) == {GRID.size}
+
+
+def test_threaded_fills_on_banded_weights_select_what_serial_fills_select(threads):
+    # n = 2000 on a 9-point grid bands the narrow axes and keeps the
+    # widest ones dense.
+    grid = Grid.regular(9)
+    widths = _threaded_against_serial(2000, grid, threads)
+    assert min(widths) < grid.size == max(widths)
 
 
 def test_failed_build_in_a_worker_is_one_failed_candidate(threads):
