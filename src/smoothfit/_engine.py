@@ -537,9 +537,11 @@ class Workspace:
         idx, frac = self._idx[:, j], self._frac[:, j]
         return curve[idx] * (1.0 - frac) + curve[idx + 1] * frac
 
-    def fitted_at_data(self, intercept: float, comps: np.ndarray) -> np.ndarray:
+    def fitted_at_data(self, intercept: float, comps: np.ndarray, axes=None) -> np.ndarray:
+        """``intercept`` plus the curves ``comps[j]`` of ``axes`` (all
+        axes by default), interpolated at the data."""
         out = np.full(self.data.n, intercept)
-        for j in range(self.data.d):
+        for j in range(self.data.d) if axes is None else axes:
             out += self.component_at_data(j, comps[j])
         return out
 

@@ -40,41 +40,89 @@ class _InputError(Exception):
     pass
 
 
-def _read_csv(path: str):
+def _open_csv(path: str):
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        return open(path, newline="", encoding="utf-8")
     except OSError as err:
         raise _InputError(f"cannot read {path}: {err}") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise _InputError("input file is empty")
-        header = [c.strip() for c in header]
-        d = len(header) - 1
-        expected = [f"x{i}" for i in range(1, d + 1)] + ["y"]
-        if d < 1 or header != expected:
-            raise _InputError(
-                f"header must be x1,...,xd,y; got {','.join(header)}"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 1:
-                raise _InputError(
-                    f"line {lineno}: expected {d + 1} fields, found {len(row)}"
-                )
-            try:
-                values = [float(c) for c in row]
-            except ValueError:
-                raise _InputError(f"line {lineno}: non-numeric value") from None
-            if not all(map(math.isfinite, values)):
-                raise _InputError(f"line {lineno}: non-finite value")
-            rows.append(values)
-        if not rows:
-            raise _InputError("no data rows")
-    arr = np.asarray(rows, dtype=float)
+
+
+def _read_header(reader) -> int:
+    """Check the header row ``x1,...,xd,y`` and return d."""
+    header = next(reader, None)
+    if not header:
+        raise _InputError("input file is empty")
+    header = [c.strip() for c in header]
+    d = len(header) - 1
+    expected = [f"x{i}" for i in range(1, d + 1)] + ["y"]
+    if d < 1 or header != expected:
+        raise _InputError(f"header must be x1,...,xd,y; got {','.join(header)}")
+    return d
+
+
+def _parse_fast(text: str, d: int):
+    """The data rows after the header as an (m, d + 1) array, parsed by
+    numpy's reader, or None where the row loop must decide.
+
+    None unless every non-empty line (split at \\r\\n, \\r or \\n like
+    the csv module) parses to d + 1 finite numbers: numpy rejects the
+    quotes, blank fields, whitespace-only lines and ragged rows that the
+    loop rejects or reads differently, and parses the numbers it accepts
+    with the same correctly rounded conversion as ``float``.
+    """
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = [line for line in text.split("\n") if line]
+    if not lines:
+        return None
+    try:
+        arr = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if arr.shape != (len(lines), d + 1) or not np.all(np.isfinite(arr)):
+        return None
+    return arr
+
+
+def _parse_rows(reader, d: int) -> np.ndarray:
+    """The data rows after the header, one ``float`` per field, with the
+    line number of the first bad row in the error."""
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != d + 1:
+            raise _InputError(f"line {lineno}: expected {d + 1} fields, found {len(row)}")
+        try:
+            values = [float(c) for c in row]
+        except ValueError:
+            raise _InputError(f"line {lineno}: non-numeric value") from None
+        if not all(map(math.isfinite, values)):
+            raise _InputError(f"line {lineno}: non-finite value")
+        rows.append(values)
+    if not rows:
+        raise _InputError("no data rows")
+    return np.asarray(rows, dtype=float)
+
+
+def _read_csv(path: str):
+    """Covariates and responses of a CSV file with header x1,...,xd,y.
+
+    Numpy's reader parses a well-formed file; any file it does not parse
+    whole goes through the row loop, which gives bitwise the same arrays
+    and names the first bad line.
+    """
+    with _open_csv(path) as fh:
+        d = _read_header(csv.reader(fh))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            text = None
+    arr = None if text is None else _parse_fast(text, d)
+    if arr is None:
+        with _open_csv(path) as fh:
+            reader = csv.reader(fh)
+            _read_header(reader)
+            arr = _parse_rows(reader, d)
     return arr[:, :d], arr[:, d]
 
 
@@ -122,8 +170,8 @@ def _parse_h(text: str, d: int) -> np.ndarray:
         raise _InputError(f"cannot parse bandwidths {text!r}") from None
     if h.size != d:
         raise _InputError(f"expected {d} bandwidths, got {h.size}")
-    if np.any(h <= 0):
-        raise _InputError("bandwidths must be positive")
+    if not np.all((h > 0) & np.isfinite(h)):
+        raise _InputError("bandwidths must be positive and finite")
     return h
 
 
@@ -133,8 +181,8 @@ def _search_spec(args, data: Dataset) -> BandwidthSearchSpec:
             lo, hi = (float(c) for c in args.box.split(","))
         except ValueError:
             raise _InputError(f"cannot parse --box {args.box!r}") from None
-        if not 0 < lo < hi:
-            raise _InputError("--box needs 0 < LO < HI")
+        if not 0 < lo < hi < math.inf:
+            raise _InputError("--box needs 0 < LO < HI, both finite")
         scale = float(data.n) ** (-0.2)
         return BandwidthSearchSpec.for_sample_size(
             data.n, data.d, lo_factor=lo / scale, hi_factor=hi / scale,

@@ -45,35 +45,17 @@ def pilot_bandwidth(h, factor: float = 1.5, rule: str = "linear"):
     """Pilot bandwidth for curvature estimation.
 
     ``linear`` gives ``factor * h``; ``power`` gives ``factor * h**(5/7)``,
-    a rate-motivated alternative for the pilot scale.
+    a rate-motivated alternative for the pilot scale.  The factor must be
+    positive and finite.
     """
+    if not 0.0 < factor < np.inf:
+        raise ValueError(f"pilot factor must be positive and finite, got {factor}")
     h = np.asarray(h, dtype=float)
     if rule == "linear":
         return factor * h
     if rule == "power":
         return factor * h ** (5.0 / 7.0)
     raise ValueError(f"unknown pilot rule {rule!r}")
-
-
-def _quad_moments(grid: Grid, g: float, kernel: KernelSpec):
-    """Scaled design moments for the local quadratic fit at every grid point.
-
-    Returns (omega, delta, moments) where ``omega[a, b]`` is the
-    trapezoid-weighted kernel weight node ``b`` gets in the fit at node
-    ``a``, ``delta`` the (node - center)/g offsets, and ``moments`` the
-    stacked 3x3 normal matrices in the g-scaled basis (1, t, t^2).
-    """
-    if g <= 0:
-        raise ValueError("pilot bandwidth must be positive")
-    pts = grid.points
-    delta = (pts[None, :] - pts[:, None]) / g
-    omega = kernel.fn(delta) * grid.weights[None, :]
-    s = [np.sum(omega * delta**k, axis=1) for k in range(5)]
-    mom = np.empty((pts.size, 3, 3))
-    for r in range(3):
-        for c in range(3):
-            mom[:, r, c] = s[r + c]
-    return omega, delta, mom
 
 
 def _solve_quadratic(mom: np.ndarray, rhs: np.ndarray, grid: Grid):
@@ -113,30 +95,34 @@ def second_derivative(
     curve = np.asarray(curve, dtype=float).ravel()
     if curve.size != grid.size:
         raise ValueError("curve and grid sizes disagree")
-    omega, delta, mom = _quad_moments(grid, g, kernel)
+    if g <= 0:
+        raise ValueError("pilot bandwidth must be positive")
+    pts = grid.points
+    # Row a holds the fit at node a: the offsets of every node scaled by
+    # the row's bandwidth, and their trapezoid-weighted kernel weights.
+    delta = (pts[None, :] - pts[:, None]) / g
+    omega = kernel.fn(delta) * grid.weights[None, :]
     scale = np.full(grid.size, g)
     # Nodes with vanishing relative weight cannot stabilize the fit.
     active = omega > omega.max(axis=1, keepdims=True) * 1e-9
     widened = active.sum(axis=1) < 3
     if np.any(widened):
-        pts = grid.points
-        for a in np.nonzero(widened)[0]:
-            # Stretch the window so the third-nearest node carries real
-            # weight (compact kernels vanish at the support edge).
-            dist = np.sort(np.abs(pts - pts[a]))
-            g_eff = dist[2] * 1.5
-            d_row = (pts - pts[a]) / g_eff
-            w_row = kernel.fn(d_row) * grid.weights
-            omega[a] = w_row
-            delta[a] = d_row
-            scale[a] = g_eff
-            for r in range(3):
-                for c in range(3):
-                    mom[a, r, c] = np.sum(w_row * d_row ** (r + c))
-    rhs = np.stack(
-        [np.sum(omega * delta**k * curve[None, :], axis=1) for k in range(3)],
-        axis=1,
-    )
+        # Stretch those windows so the third-nearest node carries real
+        # weight (compact kernels vanish at the support edge).
+        offsets = pts[None, :] - pts[widened, None]
+        scale[widened] = np.partition(np.abs(offsets), 2, axis=1)[:, 2] * 1.5
+        delta[widened] = offsets / scale[widened, None]
+        omega[widened] = kernel.fn(delta[widened]) * grid.weights[None, :]
+    # Stacked omega * delta**k for k = 0..4: the normal matrices of the
+    # scaled basis (1, t, t^2) hold their row sums s_(r+c), and the
+    # right-hand sides are the row sums of the first three times the curve.
+    powers = np.empty((5,) + delta.shape)
+    powers[0] = omega
+    for k in range(1, 5):
+        np.multiply(powers[k - 1], delta, out=powers[k])
+    sums = powers.sum(axis=2)
+    mom = sums[np.add.outer(np.arange(3), np.arange(3))].transpose(2, 0, 1)
+    rhs = (powers[:3] * curve).sum(axis=2).T
     beta = _solve_quadratic(mom, rhs, grid)
     return CurvatureCurve(
         grid=grid,

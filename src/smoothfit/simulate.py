@@ -26,6 +26,7 @@ from . import _engine
 from .backfit_ll import backfit_ll
 from .backfit_nw import backfit_nw
 from .criteria import ase, ase_j
+from .curvature import pilot_bandwidth
 from .data import Dataset, Grid
 from .errors import SamplerDegenerateError, SmoothfitError
 from .kernels import get_kernel
@@ -95,6 +96,10 @@ class SimConfig:
             raise ValueError("correlation must lie in (-1, 1)")
         if self.sigma2 <= 0:
             raise ValueError("noise variance must be positive")
+        if not 0 < self.cov_variance < np.inf:
+            raise ValueError("covariate variance must be positive and finite")
+        # A bad pilot factor fails here rather than in every replicate.
+        pilot_bandwidth(1.0, self.pilot_factor)
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if self.smoother not in ("nw", "ll"):
@@ -237,8 +242,9 @@ def generate(config: SimConfig, replicate: int = 0):
 
 def _select_ase1(data, truth, spec, ws):
     """Oracle scan of the single-covariate marginal fit."""
-    criterion = _ase_criterion(ws, truth.components[0](data.x[:, 0]), None)
-    return _grid_search(_MarginalFit(ws), criterion, spec, "ase1", once=True)
+    fits = _MarginalFit(ws)
+    criterion = _ase_criterion(fits, truth.components[0](data.x[:, 0]), None)
+    return _grid_search(fits, criterion, spec, "ase1", once=True)
 
 
 def _run_selector(name, data, truth, config, spec, grid, kernel, ws):

@@ -2,13 +2,14 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from smoothfit.cli import _write_json, main
+from smoothfit.cli import _InputError, _parse_fast, _read_csv, _write_json, main
 from smoothfit.errors import NumericError
 
 
@@ -252,3 +253,138 @@ class TestEntryPoint:
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
         assert json.loads(outs[0])["command"] == "select"
+
+
+# The CSV reader before numpy's parser took the well-formed files: every
+# file must give bitwise the same arrays, or the same error, as this.
+
+
+def _ref_read_csv(path):
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as err:
+        raise _InputError(f"cannot read {path}: {err}") from None
+    with fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header:
+            raise _InputError("input file is empty")
+        header = [c.strip() for c in header]
+        d = len(header) - 1
+        expected = [f"x{i}" for i in range(1, d + 1)] + ["y"]
+        if d < 1 or header != expected:
+            raise _InputError(
+                f"header must be x1,...,xd,y; got {','.join(header)}"
+            )
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != d + 1:
+                raise _InputError(
+                    f"line {lineno}: expected {d + 1} fields, found {len(row)}"
+                )
+            try:
+                values = [float(c) for c in row]
+            except ValueError:
+                raise _InputError(f"line {lineno}: non-numeric value") from None
+            if not all(map(math.isfinite, values)):
+                raise _InputError(f"line {lineno}: non-finite value")
+            rows.append(values)
+        if not rows:
+            raise _InputError("no data rows")
+    arr = np.asarray(rows, dtype=float)
+    return arr[:, :d], arr[:, d]
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except _InputError as err:
+        return str(err)
+
+
+class TestReadCsv:
+    def _same(self, path):
+        new, ref = _outcome(_read_csv, path), _outcome(_ref_read_csv, path)
+        if isinstance(ref, str):
+            assert new == ref
+            return ref
+        for a, b in zip(new, ref):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        return None
+
+    def test_random_doubles_parse_bitwise(self, tmp_path):
+        rng = np.random.default_rng(60)
+        x = rng.uniform(0, 1, (500, 3))
+        x[:5] = [0.0, 1.0, 5e-324]
+        y = rng.normal(0, 1e3, 500) * 10.0 ** rng.integers(-30, 30, 500)
+        path = tmp_path / "many.csv"
+        lines = ["x1,x2,x3,y"] + [
+            ",".join(f"{v:{fmt}}" for v in (*row, yi))
+            for row, yi, fmt in zip(x, y, ["", ".17g", ".6e", ".3f"] * 125)
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        assert _parse_fast(path.read_text().split("\n", 1)[1], 3) is not None
+        assert self._same(path) is None
+
+    @pytest.mark.parametrize("text", [
+        "x1,x2,y\r\n0.1,0.2,3\r\n0.4,0.5,6\r\n",
+        "x1,x2,y\n0.1,0.2,3\n\n\n0.4,0.5,6\n\n",
+        "x1,x2,y\n0.1,0.2,3\n0.4,0.5,6",
+        "x1,x2,y\n 0.1 ,0.2,  3\n0.4,\t0.5 ,6\n",
+        "x1,x2,y\n1e-1,2.5E-1,+3e2\n4e-01,.5,-6.\n",
+        "x1,x2,y\n0.1,0.2,1_0\n0.4,0.5,6\n",
+        'x1,x2,y\n"0.1",0.2,3\n0.4,"0.5","6"\n',
+        'x1,x2,y\n0.1,0.2,"3\n"\n0.4,0.5,6\n',
+        "x1,x2,y\r0.1,0.2,3\r0.4,0.5,6\r",
+    ])
+    def test_valid_files_match_the_row_loop(self, tmp_path, text):
+        path = tmp_path / "valid.csv"
+        path.write_bytes(text.encode())
+        assert self._same(path) is None
+
+    @pytest.mark.parametrize("text, message", [
+        ("x1,x2,y\n0.1,0.2,3\n   \n0.4,0.5,6\n", "line 3: expected 3 fields, found 1"),
+        ("x1,x2,y\n0.1,0.2\n0.3,0.4,0.5,0.6\n", "line 2: expected 3 fields, found 2"),
+        ("x1,x2,y\n0.1,0.2,3\n0.4,nan,6\n", "line 3: non-finite value"),
+        ("x1,x2,y\n0.1,0.2,inf\n0.4,0.5,6\n", "line 2: non-finite value"),
+        ("x1,x2,y\n0.1,0.2,3\n# note,0.5,6\n", "line 3: non-numeric value"),
+        ("x1,x2,y\n0.1,0.2,3\n0.4,half,6\n", "line 3: non-numeric value"),
+        ("x1,x2,y\n0.1,,3\n", "line 2: non-numeric value"),
+        ("x1,x2,y\n\n\n", "no data rows"),
+        ("", "input file is empty"),
+    ])
+    def test_invalid_files_fail_like_the_row_loop(self, tmp_path, text, message):
+        path = tmp_path / "invalid.csv"
+        path.write_bytes(text.encode())
+        assert self._same(path) == message
+        assert main(["fit", str(path), "--h", "0.2,0.2"]) == 2
+
+
+class TestNonFiniteOptions:
+    def test_box_with_infinite_end_exits_2(self, csv3, capsys):
+        assert main(["select", csv3, "--box", "0.05,inf"]) == 2
+        err = capsys.readouterr().err
+        assert "--box" in err and "Warning" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_bandwidth_exits_2(self, csv3, capsys, value):
+        assert main(["fit", csv3, "--h", f"{value},0.1,0.1"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_pilot_factor_exits_2_on_select(self, csv3, value):
+        assert main(["select", csv3, "--method", "pl-star",
+                     "--pilot-factor", value]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_pilot_factor_exits_2_on_simulate(self, value):
+        assert main(["simulate", "--model", "m2", "--n", "50", "--reps", "1",
+                     "--pilot-factor", value]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_covariate_variance_exits_2(self, value):
+        assert main(["simulate", "--model", "m2", "--n", "50", "--reps", "1",
+                     "--cov-var", value]) == 2

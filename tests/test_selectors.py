@@ -49,6 +49,16 @@ class TestBandwidthSearchSpec:
             BandwidthSearchSpec(
                 candidates=np.geomspace(0.1, 0.5, 10), h0=np.array([0.9])
             )
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                BandwidthSearchSpec(
+                    candidates=np.append(np.geomspace(0.1, 0.5, 9), bad),
+                    h0=np.array([0.2]),
+                )
+            with pytest.raises(ValueError):
+                BandwidthSearchSpec(
+                    candidates=np.geomspace(0.1, 0.5, 10), h0=np.array([bad])
+                )
 
     def test_nw_trim_margin_capped(self):
         spec = BandwidthSearchSpec.for_sample_size(200, 2)
