@@ -54,6 +54,19 @@ density (NW) or the ridged 2x2 moment inverse (LL).  A Gauss-Seidel
 update of axis j is then one matrix-vector product,
 ``new_j = c_j - m0 * q_j - ops[j] @ z``, with ``c_j`` the marginal fit,
 ``m0`` the intercept and ``q_j`` the smoother applied to a constant.
+A sweep updates the axes in cyclic order from ``start_axis``, 0 unless
+the caller says otherwise.  The selectors warm-start each candidate of a
+coordinate scan from the fits before it and start the sweep at the
+scanned axis, the one whose bandwidth moved (see
+``selectors._FitCache``): its curves are the ones the warm start has
+wrong.  The fixed point and the stopping rule do not depend on the start
+axis, and a cold start, as in ``backfit_ll`` and ``backfit_nw``, sweeps
+in the order 0 .. d - 1.
+
+Solved backfits.  ``Workspace`` also keeps the selectors' solved
+backfits, keyed by (smoother, tol, max_sweeps, bandwidth tuple), so that
+the selectors of one simulation replicate share their solves; it is
+read and filled only by ``selectors._FitCache``.
 
 Ahead-of-time fills.  Before a coordinate scan and before each solve,
 ``Workspace.prepare`` builds the missing axes, then the missing pairs,
@@ -405,6 +418,10 @@ class Workspace:
         self._axes: dict = {}
         self._pairs: dict = {}
         self._slopes = False
+        # The selectors' solved backfits (see ``selectors._FitCache``):
+        # (smoother, tol, max_sweeps, bandwidth tuple) -> the levels, and
+        # the slopes for local linear, or None where the solve failed.
+        self._fits: dict = {}
         # Each axis's sort order and its inverse, for banded axes.
         self._order = np.argsort(data.x, axis=0, kind="stable").T
         self._rank = np.empty_like(self._order)
@@ -549,11 +566,12 @@ class Workspace:
 # -- solvers ----------------------------------------------------------------
 
 
-def _sweeps(state, ops, rhs, tol, max_sweeps):
-    """Gauss-Seidel sweeps ``state[j] = base[j] - ops[j] @ z`` in axis
-    order, ``z`` being the flattened current state and ``base = rhs()``
-    taken at the start of each sweep, until the sup-norm change of a
-    sweep drops below ``tol`` relative to the state scale.
+def _sweeps(state, ops, rhs, tol, max_sweeps, start_axis=0):
+    """Gauss-Seidel sweeps ``state[j] = base[j] - ops[j] @ z`` in cyclic
+    axis order from ``start_axis``, ``z`` being the flattened current
+    state and ``base = rhs()`` taken at the start of each sweep, until the
+    sup-norm change of a sweep drops below ``tol`` relative to the state
+    scale.
 
     Returns the list of sweep changes.  Raises NumericError on a
     non-finite change or iterate and NonConvergenceError when the sweeps
@@ -562,11 +580,13 @@ def _sweeps(state, ops, rhs, tol, max_sweeps):
     z = state.reshape(-1)
     # Each update must see the newest iterate through ``z``.
     assert np.shares_memory(z, state)
+    d = state.shape[0]
+    order = [*range(start_axis, d), *range(start_axis)]
     changes = []
     for sweep in range(1, max_sweeps + 1):
         base = rhs()
         prev = state.copy()
-        for j in range(state.shape[0]):
+        for j in order:
             state[j] = base[j] - ops[j] @ z
         # Any non-finite entry of the new state makes the change
         # non-finite, so this one test also covers the iterate.
@@ -587,8 +607,10 @@ def nw_solve(
     init: np.ndarray | None = None,
     tol: float = DEFAULT_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
+    start_axis: int = 0,
 ):
-    """Gauss-Seidel sweeps for the Nadaraya-Watson backfitting system.
+    """Gauss-Seidel sweeps for the Nadaraya-Watson backfitting system,
+    each in cyclic axis order from ``start_axis``.
 
     Returns (components, sweeps, changes) with components already
     normalized to have zero density-weighted mean per axis; the
@@ -604,7 +626,7 @@ def nw_solve(
     m = np.zeros((d, g))
     if init is not None:
         m[:] = init
-    changes = _sweeps(m, ops, lambda: base, tol, max_sweeps)
+    changes = _sweeps(m, ops, lambda: base, tol, max_sweeps, start_axis)
     # Zero-mean normalization against the marginal densities.  At the
     # discrete fixed point the means already sum to zero, so this leaves
     # the fitted surface (and the intercept) unchanged.
@@ -618,11 +640,13 @@ def ll_solve(
     init=None,
     tol: float = DEFAULT_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
+    start_axis: int = 0,
 ):
     """Gauss-Seidel sweeps for the local linear backfitting system.
 
-    Iterates the coupled (level, slope) updates with the intercept
-    refreshed from the norming functional at the start of every sweep.
+    Iterates the coupled (level, slope) updates, in cyclic axis order
+    from ``start_axis``, with the intercept refreshed from the norming
+    functional at the start of every sweep.
     Returns (levels, slopes, sweeps, changes), normalized so that each
     component's norming functional vanishes and the intercept equals the
     response mean.  Switches the workspace to slopes first.
@@ -653,9 +677,11 @@ def ll_solve(
         state[:, :g] = init[0]
         state[:, g:] = init[1]
     z = state.reshape(-1)
-    changes = _sweeps(
-        state, ops, lambda: c - (ws.ybar - z @ norm.reshape(-1)) * q, tol, max_sweeps
-    )
+
+    def rhs():
+        return c - (ws.ybar - z @ norm.reshape(-1)) * q
+
+    changes = _sweeps(state, ops, rhs, tol, max_sweeps, start_axis)
     # Shift each level so its norming functional vanishes; the shifts are
     # absorbed by the intercept, which lands exactly on the response mean.
     shift = (state * norm).sum(axis=1, keepdims=True)

@@ -58,21 +58,36 @@ def pilot_bandwidth(h, factor: float = 1.5, rule: str = "linear"):
     raise ValueError(f"unknown pilot rule {rule!r}")
 
 
-def _solve_quadratic(mom: np.ndarray, rhs: np.ndarray, grid: Grid):
-    """Batched ridged solve of the 3x3 normal systems."""
-    det = np.linalg.det(mom)
-    diag = np.einsum("gii->gi", mom)
-    bad = np.abs(det) < _SING_RTOL * np.power(np.sum(diag * diag, axis=1), 1.5)
+def _last_column_cofactors(m00, m11, m22, m01, m02, m12):
+    """Cofactors of the last column of the symmetric 3x3 matrices with
+    these entries (one per grid point), and the determinants expanded
+    along that column."""
+    c0 = m01 * m12 - m11 * m02
+    c1 = m01 * m02 - m00 * m12
+    c2 = m00 * m11 - m01 * m01
+    return (c0, c1, c2), m02 * c0 + m12 * c1 + m22 * c2
+
+
+def _quadratic_coefficient(sums: np.ndarray, rhs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Per grid point, the quadratic coefficient of the ridged normal
+    system ``[[s0, s1, s2], [s1, s2, s3], [s2, s3, s4]] @ beta = rhs``,
+    by Cramer's rule on the cofactors of its last column.
+
+    ``sums`` holds the moment sums s0..s4 as rows and ``rhs`` the three
+    right-hand sides as rows.
+    """
+    s0, s1, s2, s3, s4 = sums
+    diag = [s0, s2, s4]
+    cof, det = _last_column_cofactors(*diag, s1, s2, s3)
+    bad = np.abs(det) < _SING_RTOL * np.power(s0 * s0 + s2 * s2 + s4 * s4, 1.5)
     if np.any(bad):
-        lam = _RIDGE_SCALE * diag.sum(axis=1)
-        mom = mom.copy()
-        for k in range(3):
-            mom[bad, k, k] += lam[bad]
-        det = np.linalg.det(mom)
+        lam = np.where(bad, _RIDGE_SCALE * (s0 + s2 + s4), 0.0)
+        diag = [m + lam for m in diag]
+        cof, det = _last_column_cofactors(*diag, s1, s2, s3)
         if np.any(np.abs(det) <= 0.0):
             g = int(np.argmax(np.abs(det) <= 0.0))
             raise SingularMomentError(None, float(grid.points[g]))
-    return np.linalg.solve(mom, rhs[..., None])[..., 0]
+    return (rhs[0] * cof[0] + rhs[1] * cof[1] + rhs[2] * cof[2]) / det
 
 
 def second_derivative(
@@ -115,18 +130,20 @@ def second_derivative(
         omega[widened] = kernel.fn(delta[widened]) * grid.weights[None, :]
     # Stacked omega * delta**k for k = 0..4: the normal matrices of the
     # scaled basis (1, t, t^2) hold their row sums s_(r+c), and the
-    # right-hand sides are the row sums of the first three times the curve.
+    # right-hand sides are the row sums of the first three times the curve
+    # less its value at the row's node.  That shift moves only the
+    # constant coefficient, and it keeps the curve's level out of the
+    # closed-form quadratic coefficient, which it would otherwise have to
+    # cancel.
     powers = np.empty((5,) + delta.shape)
     powers[0] = omega
     for k in range(1, 5):
         np.multiply(powers[k - 1], delta, out=powers[k])
-    sums = powers.sum(axis=2)
-    mom = sums[np.add.outer(np.arange(3), np.arange(3))].transpose(2, 0, 1)
-    rhs = (powers[:3] * curve).sum(axis=2).T
-    beta = _solve_quadratic(mom, rhs, grid)
+    rhs = (powers[:3] * (curve[None, :] - curve[:, None])).sum(axis=2)
+    quad = _quadratic_coefficient(powers.sum(axis=2), rhs, grid)
     return CurvatureCurve(
         grid=grid,
-        values=2.0 * beta[:, 2] / (scale * scale),
+        values=2.0 * quad / (scale * scale),
         pilot_bandwidth=g,
         widened=widened,
     )

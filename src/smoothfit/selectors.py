@@ -49,7 +49,7 @@ import numpy as np
 
 from . import _engine
 from .criteria import TrimSpec, _criterion_weights, _weights_vector, aase_hat, pls
-from .curvature import curvature_at_points, pilot_bandwidth, second_derivative
+from .curvature import pilot_bandwidth, second_derivative
 from .data import Dataset, Grid
 from .errors import SelectorFailureError, SmoothfitError
 from .kernels import BIWEIGHT, KernelSpec
@@ -188,11 +188,23 @@ class SelectionResult:
 
 
 class _FitCache:
-    """Memoized backfits over one selection run, with warm starts.
+    """Backfits over one selection run, shared through the workspace.
 
     ``fit(key)`` returns the level curves at the bandwidth tuple ``key``,
     or None when the backfit failed; the fitted surface is ``intercept``
-    plus the curves.
+    plus the curves.  Fits are kept in the workspace's store of solved
+    backfits under (smoother, tol, max_sweeps, key), so every selector
+    run on one workspace reads what any of them solved, as the selectors
+    of a simulation replicate do: the first solve of a key wins, whatever
+    it was warm-started from.  A run counts each failed key once in
+    ``failures``.  The public backfits never read the store and always
+    start cold.
+
+    A key that is not stored is warm-started from this run's last fit.
+    Where the two differ in one axis j, the sweeps update axis j first;
+    where the fit before the last one differs from it in axis j alone too,
+    as along a candidate scan, the warm start is the linear extrapolation
+    of those two fits in h_j.
     """
 
     def __init__(self, ws, smoother, tol, max_sweeps):
@@ -201,9 +213,13 @@ class _FitCache:
         self.smoother = smoother
         self.tol = tol
         self.max_sweeps = max_sweeps
-        self.memo = {}
-        self.warm = None
-        self.failures = 0
+        self.failed = set()
+        # This run's last two fits as (key, solution), the newest last.
+        self.recent = []
+
+    @property
+    def failures(self) -> int:
+        return len(self.failed)
 
     def prepare(self, keys):
         """Build the caches that fits at ``keys`` will read, in parallel
@@ -213,23 +229,56 @@ class _FitCache:
         self.ws.prepare(keys)
 
     def fit(self, key):
-        if key not in self.memo:
-            try:
-                if self.smoother == "nw":
-                    levels, _, _ = _engine.nw_solve(
-                        self.ws, key, self.warm, self.tol, self.max_sweeps
-                    )
-                    self.warm = levels
-                else:
-                    levels, slopes, _, _ = _engine.ll_solve(
-                        self.ws, key, self.warm, self.tol, self.max_sweeps
-                    )
-                    self.warm = (levels, slopes)
-            except SmoothfitError:
-                levels = None
-                self.failures += 1
-            self.memo[key] = levels
-        return self.memo[key]
+        store = self.ws._fits
+        entry = (self.smoother, self.tol, self.max_sweeps, key)
+        if entry not in store:
+            store[entry] = self._solve(key)
+        solution = store[entry]
+        if solution is None:
+            self.failed.add(key)
+            return None
+        self.recent = [*self.recent[-1:], (key, solution)]
+        return solution[0]
+
+    def _solve(self, key):
+        """(levels,) for NW or (levels, slopes) for LL at ``key``, or None
+        when the backfit fails."""
+        init, start = self._warm_start(key)
+        try:
+            if self.smoother == "nw":
+                warm = None if init is None else init[0]
+                levels, _, _ = _engine.nw_solve(
+                    self.ws, key, warm, self.tol, self.max_sweeps, start_axis=start
+                )
+                return (levels,)
+            levels, slopes, _, _ = _engine.ll_solve(
+                self.ws, key, init, self.tol, self.max_sweeps, start_axis=start
+            )
+            return levels, slopes
+        except SmoothfitError:
+            return None
+
+    def _warm_start(self, key):
+        """The warm start for ``key`` (None for a cold start) and the axis
+        to sweep first."""
+        if not self.recent:
+            return None, 0
+        last_key, last = self.recent[-1]
+        moved = _moved_axes(last_key, key)
+        if len(moved) != 1:
+            return last, 0
+        (j,) = moved
+        if len(self.recent) == 2:
+            prev_key, prev = self.recent[0]
+            if _moved_axes(prev_key, last_key) == moved:
+                t = (key[j] - last_key[j]) / (last_key[j] - prev_key[j])
+                return tuple(a + t * (a - b) for a, b in zip(last, prev)), j
+        return last, j
+
+
+def _moved_axes(old, new) -> list:
+    """The axes where two bandwidth tuples differ."""
+    return [j for j, (a, b) in enumerate(zip(old, new)) if a != b]
 
 
 class _MarginalFit:
@@ -505,7 +554,8 @@ def select_pls(
 ) -> SelectionResult:
     """Penalized least squares bandwidth by coordinate descent.
 
-    Every candidate evaluation performs a full backfit (warm-started),
+    Every candidate evaluation performs a full backfit (warm-started,
+    or read from the workspace's solved backfits, see ``_FitCache``),
     computes the residual criterion, and applies the penalty factor.
     For the locally constant smoother the residual criterion is trimmed
     near the boundary (see ``BandwidthSearchSpec.nw_trim``); the local
@@ -526,8 +576,8 @@ def select_pls(
 # plug-in on the global error expansion
 
 
-def _component_curvature(curve, grid, g, kernel, x):
-    """Curvature of a fitted curve at the covariate values.
+def _component_curvature(ws, j, curve, g, kernel):
+    """Curvature of axis ``j``'s fitted curve at the data.
 
     A curve that is a straight line up to solver rounding has zero
     curvature by definition; without this guard the local quadratic
@@ -535,19 +585,19 @@ def _component_curvature(curve, grid, g, kernel, x):
     plug-in updates would then take seriously.
     """
     # The least-squares line through the curve, in closed form.
-    offset = grid.points - grid.points.mean()
+    offset = ws.grid.points - ws.grid.points.mean()
     slope = float(offset @ curve) / float(offset @ offset)
     line_resid = np.abs(curve - curve.mean() - slope * offset).max()
     if line_resid <= 1e-9 * max(1.0, float(np.abs(curve).max())):
-        return np.zeros(x.size)
-    return curvature_at_points(second_derivative(curve, grid, g, kernel), x)
+        return np.zeros(ws.data.n)
+    return ws.component_at_data(j, second_derivative(curve, ws.grid, g, kernel).values)
 
 
 def _curvature_matrix(ws, comps, h, pilot_factor, pilot_rule, kernel):
     """Second-derivative estimates of every component at the data points."""
     g = pilot_bandwidth(np.asarray(h), pilot_factor, pilot_rule)
     cols = [
-        _component_curvature(comps[j], ws.grid, float(g[j]), kernel, ws.data.x[:, j])
+        _component_curvature(ws, j, comps[j], float(g[j]), kernel)
         for j in range(ws.data.d)
     ]
     return np.column_stack(cols)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -465,6 +464,10 @@ def run_study(config: SimConfig) -> SimReport:
     reps = range(config.replicates)
     workers = _pool_size(config)
     if workers > 1:
+        # Imported here: it loads multiprocessing, which nothing else
+        # that imports this module (the command line, say) needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_engine._build_serially
         ) as pool:

@@ -6,6 +6,7 @@ import pytest
 from smoothfit import (
     BIWEIGHT,
     EPANECHNIKOV,
+    Dataset,
     Grid,
     curvature_at_points,
     equivalent_kernel_check,
@@ -16,7 +17,9 @@ from smoothfit import (
     select_single,
 )
 from smoothfit import selectors
-from smoothfit.curvature import CurvatureCurve, _solve_quadratic
+from smoothfit._engine import _RIDGE_SCALE, _SING_RTOL, Workspace
+from smoothfit.curvature import CurvatureCurve, _quadratic_coefficient
+from smoothfit.errors import SingularMomentError
 from smoothfit.selectors import _component_curvature
 from smoothfit.simulate import SimConfig, generate
 
@@ -108,8 +111,27 @@ class TestHelpers:
 
 
 # The estimator and the straight-line guard as they were before the
-# moment sums became one reduction and the guard a closed-form line;
-# the current code must reproduce them to rounding.
+# moment sums became one reduction, the guard a closed-form line, the
+# normal systems a closed-form quadratic coefficient and the curvature at
+# the data an interpolation through the workspace; the current code must
+# reproduce them to rounding.
+
+
+def _ref_solve_quadratic(mom, rhs, grid):
+    """Batched ridged solve of the 3x3 normal systems."""
+    det = np.linalg.det(mom)
+    diag = np.einsum("gii->gi", mom)
+    bad = np.abs(det) < _SING_RTOL * np.power(np.sum(diag * diag, axis=1), 1.5)
+    if np.any(bad):
+        lam = _RIDGE_SCALE * diag.sum(axis=1)
+        mom = mom.copy()
+        for k in range(3):
+            mom[bad, k, k] += lam[bad]
+        det = np.linalg.det(mom)
+        if np.any(np.abs(det) <= 0.0):
+            g = int(np.argmax(np.abs(det) <= 0.0))
+            raise SingularMomentError(None, float(grid.points[g]))
+    return np.linalg.solve(mom, rhs[..., None])[..., 0]
 
 
 def _ref_quad_moments(grid, g, kernel):
@@ -151,7 +173,7 @@ def _ref_second_derivative(curve, grid, g, kernel=BIWEIGHT):
         [np.sum(omega * delta**k * curve[None, :], axis=1) for k in range(3)],
         axis=1,
     )
-    beta = _solve_quadratic(mom, rhs, grid)
+    beta = _ref_solve_quadratic(mom, rhs, grid)
     return CurvatureCurve(
         grid=grid,
         values=2.0 * beta[:, 2] / (scale * scale),
@@ -160,7 +182,8 @@ def _ref_second_derivative(curve, grid, g, kernel=BIWEIGHT):
     )
 
 
-def _ref_component_curvature(curve, grid, g, kernel, x):
+def _ref_component_curvature(ws, j, curve, g, kernel):
+    grid, x = ws.grid, ws.data.x[:, j]
     design = np.column_stack([np.ones(grid.size), grid.points])
     coef, *_ = np.linalg.lstsq(design, curve, rcond=None)
     line_resid = np.abs(curve - design @ coef).max()
@@ -202,15 +225,34 @@ class TestAgainstReference:
                 seen_plain |= bool(not ref.widened.all())
         assert seen_widened and seen_plain
 
+    def test_quadratic_coefficient_matches_the_batched_solve(self, grid25):
+        # Moment sums of random windows, plus two rows of two nodes each,
+        # which are singular and go through the ridge.
+        rng = np.random.default_rng(11)
+        delta = rng.uniform(-1.0, 1.0, (25, 9))
+        omega = rng.uniform(0.0, 1.0, (25, 9))
+        omega[[3, 8], 2:] = 0.0
+        sums = np.stack([(omega * delta**k).sum(axis=1) for k in range(5)])
+        rhs = rng.normal(size=(3, 25))
+        mom = sums[np.add.outer(np.arange(3), np.arange(3))].transpose(2, 0, 1)
+        ref = _ref_solve_quadratic(mom, rhs.T, grid25)[:, 2]
+        new = _quadratic_coefficient(sums, rhs, grid25)
+        plain = np.ones(25, dtype=bool)
+        plain[[3, 8]] = False
+        np.testing.assert_allclose(new[plain], ref[plain], rtol=1e-12, atol=0)
+        # A ridged system's condition number is about 1 / _RIDGE_SCALE.
+        np.testing.assert_allclose(new[~plain], ref[~plain], rtol=1e-5, atol=0)
+
     def test_line_guard_matches_least_squares(self, grid25):
         rng = np.random.default_rng(7)
         x = rng.uniform(0, 1, 50)
+        ws = Workspace(Dataset(x=x[:, None], y=x), grid25, BIWEIGHT)
         t = grid25.points
         cases = [0.4 + 2.0 * t, 3.0 - t + 1e-13 * rng.normal(size=25),
                  1e5 * t, t + 1e-6 * t**2, np.zeros(25), t**2]
         for curve in cases:
-            new = _component_curvature(curve, grid25, 0.2, BIWEIGHT, x)
-            ref = _ref_component_curvature(curve, grid25, 0.2, BIWEIGHT, x)
+            new = _component_curvature(ws, 0, curve, 0.2, BIWEIGHT)
+            ref = _ref_component_curvature(ws, 0, curve, 0.2, BIWEIGHT)
             assert (np.abs(new).max() == 0.0) == (np.abs(ref).max() == 0.0)
             # Rounding in the estimate scales with the curve, so a faint
             # curvature on a large line is compared on the curve's scale.

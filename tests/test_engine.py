@@ -319,3 +319,40 @@ def test_mixed_use_matches_fresh_workspaces(seed, d, data_h):
     )
     assert all(blk.shape == (2 * g, 2 * g) for (blk,) in ws._pairs.values())
     assert all(st.b.shape == st.w.shape for st in ws._axes.values())
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    d=st.integers(1, 4),
+    warm=st.booleans(),
+    data_h=st.data(),
+)
+@settings(max_examples=20, deadline=None)
+def test_every_start_axis_reaches_the_reference_fixed_point(seed, d, warm, data_h):
+    # Selectors sweep from the scanned axis; the order changes the path,
+    # not the fixed point.  A cold start from axis 0 is the default path.
+    data = _dataset(seed, n=80, d=d)
+    h = np.array([data_h.draw(st.floats(0.12, 0.8)) for _ in range(d)])
+    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    ref_m, ref_s, _, _ = reference_ll_solve(ws, h, tol=1e-13)
+    ref_nw, _, _ = reference_nw_solve(ws, h, tol=1e-13)
+    ll_init = nw_init = None
+    if warm:
+        near = h * 1.1
+        ll_init = _engine.ll_solve(ws, near)[:2]
+        nw_init = _engine.nw_solve(ws, near)[0]
+    # Both stop where a sweep moves the state by less than tol on the
+    # state's scale, so they agree to that scale.
+    ll_atol = 1e-12 * max(1.0, np.abs(ref_m).max(), np.abs(ref_s).max())
+    nw_atol = 1e-12 * max(1.0, np.abs(ref_nw).max())
+    for start in range(d):
+        m, s, _, _ = _engine.ll_solve(ws, h, ll_init, tol=1e-13, start_axis=start)
+        np.testing.assert_allclose(m, ref_m, rtol=0, atol=ll_atol)
+        np.testing.assert_allclose(s, ref_s, rtol=0, atol=ll_atol)
+        m, _, _ = _engine.nw_solve(ws, h, nw_init, tol=1e-13, start_axis=start)
+        np.testing.assert_allclose(m, ref_nw, rtol=0, atol=nw_atol)
+    cold = _engine.ll_solve(ws, h)
+    assert cold[2] == reference_ll_solve(ws, h)[2]
+    fit = backfit_ll(data, h, GRID, workspace=ws)
+    assert fit.components.tobytes() == cold[0].tobytes()
+    assert fit.sweep_changes == cold[3]
