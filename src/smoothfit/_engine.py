@@ -45,23 +45,25 @@ The level block is a product of its own, so it holds the same numbers on
 either layout, and a Nadaraya-Watson fit does not depend on whether the
 workspace has switched.
 
-Solvers.  Once per solve, each solver stacks the pair blocks into one
-coupling operator per axis, ``ops[j]`` of shape (r, d * r) with r = G
-(NW) or 2G (LL).  Its columns run over the flattened state ``z`` of all
-axes, each scaled by its quadrature weight (the columns of axis j itself
-are zero); its rows already include the division by the marginal
-density (NW) or the ridged 2x2 moment inverse (LL).  A Gauss-Seidel
-update of axis j is then one matrix-vector product,
+Solvers.  Each solver runs on one coupling operator per axis, ``ops[j]``
+of shape (r, d * r) with r = G (NW) or 2G (LL).  Its columns run over the
+flattened state ``z`` of all axes, each scaled by its quadrature weight
+(the columns of axis j itself are zero); its rows already include the
+division by the marginal density (NW) or the ridged 2x2 moment inverse
+(LL).  A Gauss-Seidel update of axis j is then one matrix-vector product,
 ``new_j = c_j - m0 * q_j - ops[j] @ z``, with ``c_j`` the marginal fit,
-``m0`` the intercept and ``q_j`` the smoother applied to a constant.
-A sweep updates the axes in cyclic order from ``start_axis``, 0 unless
-the caller says otherwise.  The selectors warm-start each candidate of a
-coordinate scan from the fits before it and start the sweep at the
-scanned axis, the one whose bandwidth moved (see
-``selectors._FitCache``): its curves are the ones the warm start has
-wrong.  The fixed point and the stopping rule do not depend on the start
-axis, and a cold start, as in ``backfit_ll`` and ``backfit_nw``, sweeps
-in the order 0 .. d - 1.
+``m0`` the intercept and ``q_j`` the smoother applied to a constant.  A
+solve assembles ``ops`` by copying the folded, oriented blocks of its
+pairs, which ``Workspace.prepare`` holds, into a zeroed array, and stacks
+the rows (``c_j``, ``q_j``, the norming weights, the NW base) that each
+``_AxisStats`` caches.  A sweep updates the axes in cyclic order from
+``start_axis``, 0 unless the caller says otherwise.  The selectors
+warm-start each candidate of a coordinate scan from the fits before it
+and start the sweep at the scanned axis, the one whose bandwidth moved
+(see ``selectors._FitCache``): its curves are the ones the warm start
+has wrong.  The fixed point and the stopping rule do not depend on the
+start axis, and a cold start, as in ``backfit_ll`` and ``backfit_nw``,
+sweeps in the order 0 .. d - 1.
 
 Solved backfits.  ``Workspace`` also keeps the selectors' solved
 backfits, keyed by (smoother, tol, max_sweeps, bandwidth tuple), so that
@@ -70,24 +72,41 @@ read and filled only by ``selectors._FitCache``.
 
 Ahead-of-time fills.  Before a coordinate scan and before each solve,
 ``Workspace.prepare`` builds the missing axes, then the missing pairs,
-that the coming backfits read.  It runs only where one axis build covers
-at least ``_PARALLEL_WORK`` (n * G) weights; below that the hand-off
-costs more than it saves.  The axes are built on a thread pool with one
-thread per CPU available to the process.  The pairs are built on the
-calling thread, grouped so that each partner is laid out once per band
-side's axis: their many small products gain nothing from a second thread
-under the interpreter lock.  Workers run the same code on the same inputs
-as an on-demand build, and the results enter the caches from the calling
-thread, so every number is bitwise the one a serial fill gives.
-Processes of a study's process pool build serially; a forked child starts
-its own pool.  The benchmark tracer counts cache lookups, so an entry
-built ahead of its lookup reads as a hit there.
+that the coming backfits read, and then folds their coupling blocks.  It
+runs at every n, and uses threads only where one axis build covers at
+least ``_PARALLEL_WORK`` (n * G) weights; below that the hand-off costs
+more than it saves, and axes and pairs are built on the calling thread
+through ``Workspace.axis`` and ``Workspace._pair_blocks``, as on demand.
+Above it, the axes are built on a thread pool with one thread per CPU
+available to the process, and the pairs on the calling thread, grouped
+so that each partner is laid out once per band side's axis: their many
+small products gain nothing from a second thread under the interpreter
+lock.  Workers run the same code on the same inputs as an on-demand
+build, and the results enter the caches from the calling thread, so
+every number is bitwise the one a serial fill gives.  Processes of a
+study's process pool build serially; a forked child starts its own pool.
+Entries built above the threshold bypass ``axis`` and ``_pair_blocks``,
+so the benchmark tracer, which counts lookups there, reads their later
+lookups as hits.
+
+The folded blocks of a pair are the pair block scaled by the quadrature
+weights, with each row multiplied through by its axis's moment inverse
+(LL) or divided by its marginal density (NW), once per orientation: the
+same arithmetic, element by element, as a fold of the whole operator,
+so a solve reads bitwise the numbers it would fold itself.  They are
+folded a few pairs at a time (``_FOLD_CHUNK``), and the store is
+bounded: it holds only the blocks of the latest ``prepare`` that needed
+a new one, that is one scan's candidates or one solve's tuple, reusing
+blocks already held.  A block whose axis build, moment inverse or
+marginal raises a SmoothfitError is not folded, and the solve that needs
+it raises that error itself.
 
 Not part of the public API.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -107,6 +126,19 @@ from .density import _band_weights
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_SWEEPS = 200
+
+
+def check_tolerance(name: str, value) -> None:
+    """Reject a stopping tolerance that is not finite and positive."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def check_count(name: str, value) -> None:
+    """Reject an iteration budget that is not an integer of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+
 
 # Ridge policy for local moment solves (the 2x2 local linear moments
 # here, the 3x3 local quadratic ones in ``curvature``): flag a
@@ -140,6 +172,13 @@ _BAND_RUN = 200
 # band holds every grid point where a kernel that vanishes outside
 # [-1, 1] can be nonzero.
 _SUPPORT_SLACK = 1e-12
+
+# ``Workspace.prepare`` folds coupling blocks this many pairs at a time,
+# each chunk into a fresh array.  Measured on one 51-pair m1 scan at
+# n = 200 (best of 40): 1.9 ms in chunks of 8, 2.2 ms in chunks of 4 or
+# 16 and 2.3 ms pair by pair; one stacked batch, whose temporaries are
+# about 2 MB, took twice as long per pair as chunks of 8.
+_FOLD_CHUNK = 8
 
 
 def _available_cpus() -> int:
@@ -243,7 +282,7 @@ class _AxisStats:
 
     __slots__ = (
         "wb", "w", "b", "width", "runs", "order", "rank",
-        "p", "p1", "m11", "a0", "a1", "_inv", "_nw", "_ll",
+        "p", "p1", "m11", "a0", "a1", "_inv", "_nw", "_ll", "_rows", "_base",
     )
 
     def __init__(self, ws: "Workspace", j: int, h: float, slopes: bool):
@@ -289,6 +328,8 @@ class _AxisStats:
         self._inv = None
         self._nw = None
         self._ll = None
+        self._rows = None
+        self._base = None
 
     def _total(self, g: int, rows: np.ndarray, y=None) -> np.ndarray:
         """Per grid point, the sample mean of the banded ``rows`` (times
@@ -312,6 +353,12 @@ class _AxisStats:
             self._nw = self.a0 / self.p
         return self._nw
 
+    def nw_base(self, ws: "Workspace", j: int) -> np.ndarray:
+        """The NW solve's base row: the marginal fit minus the intercept."""
+        if self._base is None:
+            self._base = self.nw_marginal(ws, j) - ws.ybar
+        return self._base
+
     def inverse(self, ws: "Workspace", j: int):
         """Entries (i11, i12, i22) of the ridged 2x2 moment inverse."""
         if self._inv is None:
@@ -331,6 +378,20 @@ class _AxisStats:
             i11, i12, i22 = self.inverse(ws, j)
             self._ll = (i11 * self.a0 + i12 * self.a1, i12 * self.a0 + i22 * self.a1)
         return self._ll
+
+    def ll_rows(self, ws: "Workspace", j: int):
+        """The local linear solve's rows of axis j, each (level, slope) of
+        length 2G: the marginal fit c, the moment inverse applied to the
+        intercept's moments q, and the weights of the norming functional."""
+        if self._rows is None:
+            i11, i12, i22 = self.inverse(ws, j)
+            p, p1 = self.p, self.p1
+            self._rows = (
+                np.concatenate(self.ll_marginal(ws, j)),
+                np.concatenate((i11 * p + i12 * p1, i12 * p + i22 * p1)),
+                np.concatenate((ws.tau * p, ws.tau * p1)),
+            )
+        return self._rows
 
 
 def _band_side(sa: _AxisStats, sb: _AxisStats) -> bool:
@@ -422,6 +483,9 @@ class Workspace:
         # (smoother, tol, max_sweeps, bandwidth tuple) -> the levels, and
         # the slopes for local linear, or None where the solve failed.
         self._fits: dict = {}
+        # The folded coupling blocks of the latest ``prepare`` that needed
+        # one: (smoother, a, b, ha, hb) -> (rows on a, rows on b).
+        self._folded: dict = {}
         # Each axis's sort order and its inverse, for banded axes.
         self._order = np.argsort(data.x, axis=0, kind="stable").T
         self._rank = np.empty_like(self._order)
@@ -442,6 +506,7 @@ class Workspace:
             self._slopes = True
             self._axes.clear()
             self._pairs.clear()
+            self._folded = {}
 
     # -- cached primitives -------------------------------------------------
 
@@ -461,50 +526,97 @@ class Workspace:
         self.switch_to_slopes()
         return self.axis(j, h).ll_marginal(self, j)
 
-    def prepare(self, keys) -> None:
-        """Build the missing axes and pairs that backfits at the bandwidth
-        tuples ``keys`` read; a no-op below ``_PARALLEL_WORK``.
+    def prepare(self, keys, smoother: str) -> None:
+        """Build the missing axes and pairs that ``smoother`` ("nw" or
+        "ll") backfits at the bandwidth tuples ``keys`` read, then fold
+        their coupling blocks.  A local linear caller switches the
+        workspace to slopes first.
 
-        Axes are built first, on the build pool where there is one;
-        worker threads run only ``_AxisStats``, and the results enter the
-        cache from this thread in sorted key order.  Then this thread
-        builds the pairs that read them, grouped so that each partner is
-        laid out once per band side's axis, into one buffer the call
-        reuses.  Every entry holds the same numbers as when built on
-        demand.  An axis whose build raises a SmoothfitError stays
-        unbuilt, with its pairs, and the solve that needs it raises that
-        error itself.
+        Where one axis build covers at least ``_PARALLEL_WORK`` weights,
+        axes are built on the build pool where there is one; worker
+        threads run only ``_AxisStats``, and the results enter the cache
+        from this thread in sorted key order.  This thread then builds the
+        pairs that read them, grouped so that each partner is laid out
+        once per band side's axis, into one buffer the call reuses.  Below
+        the threshold, axes and pairs are built on demand through ``axis``
+        and ``_pair_blocks``.  Every entry holds the same numbers as when
+        built on demand.  An axis whose build raises a SmoothfitError
+        stays unbuilt, and a key with such an axis (or with a singular
+        moment inverse or an empty marginal) gets no pairs and no folded
+        blocks: the solve that needs it raises that error itself.
+
+        The store of folded blocks is bounded: a call that needs a block
+        it does not hold replaces it with exactly its own keys' blocks,
+        reusing those already held; a call that needs none leaves it as
+        it is.
         """
-        if self.data.n * self.grid.size < _PARALLEL_WORK:
-            return
-        pool = _pool()
-        d = self.data.d
-        axes = {(j, float(h[j])) for h in keys for j in range(d)}
-        axes = sorted(axes - self._axes.keys())
-        calls = [(self, j, h, self._slopes) for j, h in axes]
-        for key, st in zip(axes, _run_builds(pool, _AxisStats, calls)):
-            if st is not None:
-                self._axes[key] = st
-        pairs = {
-            (a, b, float(h[a]), float(h[b]))
+        d, g = self.data.d, self.grid.size
+        keys = [[float(v) for v in h] for h in keys]
+        pairs = [
+            [(smoother, a, b, h[a], h[b]) for a in range(d) for b in range(a + 1, d)]
             for h in keys
-            for a in range(d)
-            for b in range(a + 1, d)
-        }
+        ]
+        held = self._folded
+        # Held blocks imply built axes: a solve inside a prepared scan
+        # stops here.
+        if d > 1 and all(key in held for blocks in pairs for key in blocks):
+            return
+        threaded = self.data.n * g >= _PARALLEL_WORK
+        axes = sorted({(j, h[j]) for h in keys for j in range(d)} - self._axes.keys())
+        if threaded:
+            calls = [(self, j, h, self._slopes) for j, h in axes]
+            for key, st in zip(axes, _run_builds(_pool(), _AxisStats, calls)):
+                if st is not None:
+                    self._axes[key] = st
+        else:
+            _run_builds(None, self.axis, axes)
+        if d < 2:
+            return
+        ready = {}
+
+        def foldable(j, h):
+            # Built, with the factor that folds its rows.
+            if (j, h) not in ready:
+                st = self._axes.get((j, h))
+                ready[j, h] = st is not None
+                try:
+                    if st is not None:
+                        (st.inverse if smoother == "ll" else st.nw_marginal)(self, j)
+                except SmoothfitError:
+                    ready[j, h] = False
+            return ready[j, h]
+
+        need = set()
+        for h, blocks in zip(keys, pairs):
+            if all(foldable(j, h[j]) for j in range(d)):
+                need.update(blocks)
+        missing = sorted(need - held.keys())
+        if not missing:
+            return
+        if threaded:
+            self._fill_pairs({key[1:] for key in missing} - self._pairs.keys())
+        store = {key: held[key] for key in need.intersection(held)}
+        for i in range(0, len(missing), _FOLD_CHUNK):
+            store.update(self._fold(missing[i : i + _FOLD_CHUNK]))
+        self._folded = store
+
+    def _fill_pairs(self, pairs) -> None:
+        """Build the pair entries ``pairs`` (keys (a, b, ha, hb), both axes
+        built) on this thread, each partner laid out once per band side's
+        axis."""
         groups = {}
-        for a, b, ha, hb in sorted(pairs - self._pairs.keys()):
-            if (a, ha) in self._axes and (b, hb) in self._axes:
-                # Through ``axis``, like an on-demand pair build, so that
-                # counts of cache lookups do not depend on who built the
-                # pair (all hits).
-                sa, sb = self.axis(a, ha), self.axis(b, hb)
-                flip = _band_side(sa, sb)
-                band, other = (sb, sa) if flip else (sa, sb)
-                # Pairs whose band sides share an order and whose other
-                # axis is the same entry read one layout of it.
-                shared = (b if flip else a, band.order is None, id(other))
-                group = groups.setdefault(shared, (band, other, []))
-                group[2].append(((a, b, ha, hb), sa, sb))
+        for a, b, ha, hb in sorted(pairs):
+            # Through ``axis``, like an on-demand pair build, so that
+            # counts of cache lookups do not depend on who built the
+            # pair (all hits).
+            sa, sb = self.axis(a, ha), self.axis(b, hb)
+            flip = _band_side(sa, sb)
+            band, other = (sb, sa) if flip else (sa, sb)
+            # Pairs whose band sides share an order and whose other
+            # axis is the same entry read one layout of it.
+            shared = (b if flip else a, band.order is None, id(other))
+            group = groups.setdefault(shared, (band, other, []))
+            group[2].append(((a, b, ha, hb), sa, sb))
         if not groups:
             return
         g = self.grid.size
@@ -513,6 +625,31 @@ class Workspace:
             layout = _lay_out(other, band.order, g, buf)
             for key, sa, sb in group:
                 self._pairs[key] = _pair_product(self, sa, sb, layout)
+
+    def _fold(self, chunk) -> dict:
+        """The folded blocks of the pairs ``chunk``, keys (smoother, a, b,
+        ha, hb), in one fresh array: key -> (rows on a, rows on b)."""
+        smoother = chunk[0][0]
+        g = self.grid.size
+        r = 2 * g if smoother == "ll" else g
+        blocks = np.empty((2 * len(chunk), r, r))
+        rows = []
+        for i, (_, a, b, ha, hb) in enumerate(chunk):
+            blk = self._pair_blocks(a, b, ha, hb)[0][:r, :r]
+            blocks[2 * i] = blk
+            blocks[2 * i + 1] = blk.T
+            rows += [(a, self._axes[a, ha]), (b, self._axes[b, hb])]
+        blocks *= np.tile(self.tau, r // g)
+        if smoother == "ll":
+            # (level, slope) rows become (i11, i12; i12, i22) combinations.
+            inv = np.array([st.inverse(self, j) for j, st in rows])
+            halves = blocks.reshape(len(rows), 2, g, r)
+            swapped = halves[:, ::-1] * inv[:, 1, None, :, None]
+            halves *= inv[:, ::2, :, None]
+            halves += swapped
+        else:
+            blocks /= np.array([st.p for _, st in rows])[:, :, None]
+        return {key: (blocks[2 * i], blocks[2 * i + 1]) for i, key in enumerate(chunk)}
 
     def _pair_blocks(self, a: int, b: int, ha: float, hb: float):
         """Coupling products for the ordered axis pair (a, b), a < b.
@@ -529,23 +666,19 @@ class Workspace:
             blocks = self._pairs[key] = _pair_product(self, sa, sb)
         return blocks
 
-    def coupling(self, h, r: int) -> np.ndarray:
-        """Grid-weighted pair blocks of all axes, shape (d, r, d * r).
-
-        Columns ``k*r:(k+1)*r`` of entry ``[j]`` map the state of axis k
-        (each column scaled by its quadrature weight) into the update of
-        axis j (rows); the diagonal blocks are zero.  ``r`` is G for
-        levels only, 2G for stacked (level, slope) states.
-        """
+    def operators(self, h, smoother: str) -> np.ndarray:
+        """The coupling operators of a ``smoother`` solve at ``h``, shape
+        (d, r, d * r), copied from the folded blocks that ``prepare([h],
+        smoother)`` holds (see Solvers above)."""
         d = self.data.d
-        out = np.zeros((d, r, d, r))
+        r = (2 if smoother == "ll" else 1) * self.grid.size
+        ops = np.zeros((d, r, d, r))
         for a in range(d):
             for b in range(a + 1, d):
-                blk = self._pair_blocks(a, b, h[a], h[b])[0][:r, :r]
-                out[a, :, b, :] = blk
-                out[b, :, a, :] = blk.T
-        out *= np.tile(self.tau, (d, r // self.grid.size))
-        return out.reshape(d, r, d * r)
+                ops[a, :, b], ops[b, :, a] = self._folded[
+                    smoother, a, b, float(h[a]), float(h[b])
+                ]
+        return ops.reshape(d, r, d * r)
 
     # -- evaluation at the data points --------------------------------------
 
@@ -617,12 +750,11 @@ def nw_solve(
     intercept is the response mean throughout.
     """
     d, g = ws.data.d, ws.grid.size
-    ws.prepare([h])
+    ws.prepare([h], "nw")
     axes = [ws.axis(j, h[j]) for j in range(d)]
-    base = np.array([ax.nw_marginal(ws, j) for j, ax in enumerate(axes)]) - ws.ybar
+    base = np.array([ax.nw_base(ws, j) for j, ax in enumerate(axes)])
     p = np.array([ax.p for ax in axes])
-    ops = ws.coupling(h, g)
-    ops /= p[:, :, None]
+    ops = ws.operators(h, "nw")
     m = np.zeros((d, g))
     if init is not None:
         m[:] = init
@@ -652,26 +784,12 @@ def ll_solve(
     response mean.  Switches the workspace to slopes first.
     """
     ws.switch_to_slopes()
-    ws.prepare([h])
+    ws.prepare([h], "ll")
     d, g = ws.data.d, ws.grid.size
     axes = [ws.axis(j, h[j]) for j in range(d)]
-    inv = np.array([ax.inverse(ws, j) for j, ax in enumerate(axes)])
-    i11, i12, i22 = inv[:, 0], inv[:, 1], inv[:, 2]
-    p = np.array([ax.p for ax in axes])
-    p1 = np.array([ax.p1 for ax in axes])
-    # Per axis, as (level, slope) rows of length 2G: the marginal fit c,
-    # the moment inverse applied to the intercept's moments q, and the
-    # weights of the norming functional.
-    c = np.array([np.concatenate(ax.ll_marginal(ws, j)) for j, ax in enumerate(axes)])
-    q = np.concatenate([i11 * p + i12 * p1, i12 * p + i22 * p1], axis=1)
-    norm = np.concatenate([ws.tau * p, ws.tau * p1], axis=1)
-    # Fold the moment inverse into the rows of each axis's operator:
-    # (level, slope) rows become (i11, i12; i12, i22) combinations.
-    ops = ws.coupling(h, 2 * g)
-    rows = ops.reshape(d, 2, g, 2 * d * g)
-    swapped = rows[:, ::-1] * i12[:, None, :, None]
-    rows *= np.stack([i11, i22], axis=1)[..., None]
-    rows += swapped
+    rows = [ax.ll_rows(ws, j) for j, ax in enumerate(axes)]
+    c, q, norm = (np.array(col) for col in zip(*rows))
+    ops = ws.operators(h, "ll")
     state = np.zeros((d, 2 * g))
     if init is not None:
         state[:, :g] = init[0]

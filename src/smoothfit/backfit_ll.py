@@ -85,6 +85,9 @@ def backfit_ll(
 
     Raises
     ------
+    ValueError
+        If ``tol`` is not finite and positive, or ``max_sweeps`` is not an
+        integer of at least 1.
     NonConvergenceError
         With the last sup-norm change attached, if sweeps run out.
     SingularMomentError
@@ -93,6 +96,8 @@ def backfit_ll(
     h = np.asarray(h, dtype=float).ravel()
     if h.size != data.d:
         raise ValueError(f"need {data.d} bandwidths, got {h.size}")
+    _engine.check_tolerance("tol", tol)
+    _engine.check_count("max_sweeps", max_sweeps)
     ws = workspace if workspace is not None else _engine.Workspace(data, grid, kernel)
     comps, slopes, sweeps, changes = _engine.ll_solve(
         ws, h, init=init, tol=tol, max_sweeps=max_sweeps

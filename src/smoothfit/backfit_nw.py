@@ -102,6 +102,9 @@ def backfit_nw(
 
     Raises
     ------
+    ValueError
+        If ``tol`` is not finite and positive, or ``max_sweeps`` is not an
+        integer of at least 1.
     NonConvergenceError
         If ``max_sweeps`` sweeps do not reach ``tol``; carries the last
         sup-norm change.
@@ -111,6 +114,8 @@ def backfit_nw(
     h = np.asarray(h, dtype=float).ravel()
     if h.size != data.d:
         raise ValueError(f"need {data.d} bandwidths, got {h.size}")
+    _engine.check_tolerance("tol", tol)
+    _engine.check_count("max_sweeps", max_sweeps)
     ws = workspace if workspace is not None else _engine.Workspace(data, grid, kernel)
     comps, sweeps, changes = _engine.nw_solve(
         ws, h, init=init, tol=tol, max_sweeps=max_sweeps

@@ -19,6 +19,7 @@ import sys
 
 import numpy as np
 
+from . import _engine
 from .backfit_ll import backfit_ll
 from .backfit_nw import backfit_nw
 from .data import Dataset, Grid
@@ -192,23 +193,26 @@ def _search_spec(args, data: Dataset) -> BandwidthSearchSpec:
 
 
 def _run_selection(args, data, grid, kernel):
+    """The selection the arguments ask for, and the workspace it ran on,
+    which a final backfit of the same data can reuse."""
     spec = _search_spec(args, data)
     method = args.method.replace("-", "_")
     _check_smoother(method, args.smoother)
+    ws = _engine.Workspace(data, grid, kernel)
     if method == "pls":
-        sel = select_pls(data, args.smoother, spec, grid, kernel)
+        sel = select_pls(data, args.smoother, spec, grid, kernel, workspace=ws)
     elif method == "pl":
         sel = select_pl(
             data, spec, args.mode.replace("-", "_"), grid, kernel,
-            pilot_factor=args.pilot_factor,
+            pilot_factor=args.pilot_factor, workspace=ws,
         )
     elif method == "pl_star":
         sel = select_pl_star(
-            data, spec, grid, kernel, pilot_factor=args.pilot_factor
+            data, spec, grid, kernel, pilot_factor=args.pilot_factor, workspace=ws
         )
     else:
         raise _InputError(f"unknown selection method {args.method!r}")
-    return sel
+    return sel, ws
 
 
 def _selection_payload(sel) -> dict:
@@ -238,17 +242,20 @@ def cmd_fit(args) -> int:
         "grid": grid.points.tolist(),
         "rescale": rescale,
     }
+    ws = None
     if args.h:
         h = _parse_h(args.h, data.d)
     else:
-        sel = _run_selection(args, data, grid, kernel)
+        sel, ws = _run_selection(args, data, grid, kernel)
         h = sel.bandwidths
         payload["selection"] = _selection_payload(sel)
+    # A public backfit starts cold, so the selection's workspace changes
+    # its cost, not its numbers.
     if args.smoother == "ll":
-        fit = backfit_ll(data, h, grid, kernel)
+        fit = backfit_ll(data, h, grid, kernel, workspace=ws)
         payload["slopes"] = fit.slopes.tolist()
     else:
-        fit = backfit_nw(data, h, grid, kernel)
+        fit = backfit_nw(data, h, grid, kernel, workspace=ws)
     payload.update(
         bandwidths=fit.bandwidths.tolist(),
         intercept=fit.intercept,
@@ -264,7 +271,7 @@ def cmd_select(args) -> int:
     data, rescale = _load_dataset(args)
     grid = Grid.regular(args.grid)
     kernel = get_kernel(args.kernel)
-    sel = _run_selection(args, data, grid, kernel)
+    sel, _ = _run_selection(args, data, grid, kernel)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "select",

@@ -119,6 +119,8 @@ class BandwidthSearchSpec:
             raise ValueError("candidates must be positive and increasing")
         if np.any(h0 < cands[0]) or np.any(h0 > cands[-1]):
             raise ValueError("initial bandwidths must lie inside the search box")
+        _engine.check_tolerance("outer_tol", self.outer_tol)
+        _engine.check_count("max_outer", self.max_outer)
         object.__setattr__(self, "candidates", cands)
         object.__setattr__(self, "h0", h0)
 
@@ -208,6 +210,8 @@ class _FitCache:
     """
 
     def __init__(self, ws, smoother, tol, max_sweeps):
+        _engine.check_tolerance("fit_tol", tol)
+        _engine.check_count("max_sweeps", max_sweeps)
         self.ws = ws
         self.intercept = ws.ybar
         self.smoother = smoother
@@ -223,10 +227,14 @@ class _FitCache:
 
     def prepare(self, keys):
         """Build the caches that fits at ``keys`` will read, in parallel
-        where the workspace finds that worthwhile."""
+        where the workspace finds that worthwhile, and fold their coupling
+        blocks; keys already in the store of solved backfits are skipped,
+        as they will not be solved."""
         if self.smoother == "ll":
             self.ws.switch_to_slopes()
-        self.ws.prepare(keys)
+        head = (self.smoother, self.tol, self.max_sweeps)
+        keys = [key for key in keys if (*head, key) not in self.ws._fits]
+        self.ws.prepare(keys, self.smoother)
 
     def fit(self, key):
         store = self.ws._fits
@@ -298,7 +306,7 @@ class _MarginalFit:
 
     def prepare(self, keys):
         self.ws.switch_to_slopes()
-        self.ws.prepare(keys)
+        self.ws.prepare(keys, "ll")
 
     def fit(self, key):
         return self.ws.ll_marginal(0, key[0])[0][None]

@@ -16,7 +16,6 @@ parallel execution).
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -122,6 +121,10 @@ class SimConfig:
                 )
             _check_smoother(name, self.smoother)
         object.__setattr__(self, "selectors", chosen)
+        _engine.check_tolerance("fit_tol", self.fit_tol)
+        # A bad search box or outer-loop control fails here rather than
+        # in every replicate.
+        self.search_spec()
 
     @property
     def d(self) -> int:
@@ -448,8 +451,8 @@ class SimReport:
 
 def _pool_size(config: SimConfig) -> int:
     """Worker processes for a study: never more than the replicates or
-    the machine's CPUs."""
-    return max(1, min(config.workers, config.replicates, os.cpu_count() or 1))
+    the CPUs available to the process, counted as for the build pool."""
+    return max(1, min(config.workers, config.replicates, _engine._available_cpus()))
 
 
 def run_study(config: SimConfig) -> SimReport:

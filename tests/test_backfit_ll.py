@@ -92,6 +92,14 @@ class TestBackfitLL:
         assert len(fit.sweep_changes) >= 2
         assert fit.sweep_changes[-1] < fit.sweep_changes[-2]
 
+    @pytest.mark.parametrize("controls", [
+        dict(tol=0.0), dict(tol=-1e-6), dict(tol=np.nan), dict(tol=np.inf),
+        dict(max_sweeps=0), dict(max_sweeps=2.5),
+    ])
+    def test_bad_stopping_controls_fail_before_any_sweep(self, grid25, dataset3, controls):
+        with pytest.raises(ValueError):
+            backfit_ll(dataset3, [0.15, 0.2, 0.3], grid25, **controls)
+
     def test_nonconvergence_error(self, grid25, dataset3):
         with pytest.raises(NonConvergenceError):
             backfit_ll(dataset3, [0.15, 0.2, 0.3], grid25, max_sweeps=1)

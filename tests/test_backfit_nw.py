@@ -117,6 +117,14 @@ class TestBackfitNW:
         assert len(changes) >= 2
         assert changes[-1] < changes[-2]
 
+    @pytest.mark.parametrize("controls", [
+        dict(tol=0.0), dict(tol=-1e-6), dict(tol=np.nan), dict(tol=np.inf),
+        dict(max_sweeps=0), dict(max_sweeps=2.5),
+    ])
+    def test_bad_stopping_controls_fail_before_any_sweep(self, grid25, dataset3, controls):
+        with pytest.raises(ValueError):
+            backfit_nw(dataset3, [0.15, 0.2, 0.25], grid25, **controls)
+
     def test_nonconvergence_error(self, grid25, dataset3):
         with pytest.raises(NonConvergenceError) as err:
             backfit_nw(dataset3, [0.15, 0.2, 0.25], grid25, max_sweeps=1)

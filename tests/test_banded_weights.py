@@ -110,6 +110,7 @@ def _pair_sources(data, spec, slopes):
     """Every way a pair block gets built: on demand, in a solve's
     ``prepare``, in a scan of either axis, and on worker threads."""
     h = tuple(float(c) for c in spec.candidates[[3, 9, 6]])
+    smoother = "ll" if slopes else "nw"
     cands = [float(c) for c in spec.candidates]
 
     def workspace():
@@ -120,12 +121,12 @@ def _pair_sources(data, spec, slopes):
 
     def scan(j):
         ws = workspace()
-        ws.prepare([h[:j] + (c,) + h[j + 1 :] for c in cands])
+        ws.prepare([h[:j] + (c,) + h[j + 1 :] for c in cands], smoother)
         return ws
 
     def solve():
         ws = workspace()
-        ws.prepare([h])
+        ws.prepare([h], smoother)
         return ws
 
     return h, cands, [workspace, lambda: scan(0), lambda: scan(1), solve]

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from smoothfit import cli
 from smoothfit.cli import _InputError, _parse_fast, _read_csv, _write_json, main
 from smoothfit.errors import NumericError
 
@@ -58,6 +59,34 @@ class TestFit:
         assert len(doc["slopes"]) == 3
         assert doc["selection"]["method"] == "pls"
         assert doc["converged"]
+
+    @pytest.mark.parametrize("smoother", ["ll", "nw"])
+    def test_final_backfit_reuses_the_selection_workspace(
+        self, csv3, tmp_path, monkeypatch, smoother
+    ):
+        # The backfit starts cold on the selection's workspace, so the
+        # output is byte for byte the output of a fresh workspace.
+        name = f"backfit_{smoother}"
+        backfit = getattr(cli, name)
+        seen = []
+
+        def shared(*args, workspace=None, **kwargs):
+            seen.append(workspace)
+            return backfit(*args, workspace=workspace, **kwargs)
+
+        def fresh(*args, workspace=None, **kwargs):
+            return backfit(*args, **kwargs)
+
+        argv = ["fit", csv3, "--smoother", smoother, "--candidates", "8"]
+        outs = []
+        for stub in (shared, fresh):
+            monkeypatch.setattr(cli, name, stub)
+            outs.append(tmp_path / f"{stub.__name__}.json")
+            assert main([*argv, "--out", str(outs[-1])]) == 0
+        (ws,) = seen
+        h = tuple(json.loads(outs[0].read_text())["bandwidths"])
+        assert any(entry[-1] == h for entry in ws._fits)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_fixed_bandwidths_bypass_selection(self, csv3, tmp_path):
         out = tmp_path / "fit.json"

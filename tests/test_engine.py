@@ -356,3 +356,177 @@ def test_every_start_axis_reaches_the_reference_fixed_point(seed, d, warm, data_
     fit = backfit_ll(data, h, GRID, workspace=ws)
     assert fit.components.tobytes() == cold[0].tobytes()
     assert fit.sweep_changes == cold[3]
+
+
+# -- folded coupling blocks -------------------------------------------------
+#
+# The solvers copy folded blocks that ``Workspace.prepare`` holds.  The
+# reference below assembles the whole operator inside each solve instead:
+# scatter the pair blocks, scale by the quadrature weights, then fold in
+# the moment inverse (LL) or divide by the marginal density (NW).  Both
+# must give the same numbers bit for bit.
+
+
+def _assembled_coupling(ws, h, r):
+    d = ws.data.d
+    out = np.zeros((d, r, d, r))
+    for a in range(d):
+        for b in range(a + 1, d):
+            blk = ws._pair_blocks(a, b, h[a], h[b])[0][:r, :r]
+            out[a, :, b, :] = blk
+            out[b, :, a, :] = blk.T
+    out *= np.tile(ws.tau, (d, r // ws.grid.size))
+    return out.reshape(d, r, d * r)
+
+
+def assembled_nw_solve(ws, h, init=None, tol=1e-6, max_sweeps=200, start_axis=0):
+    d, g = ws.data.d, ws.grid.size
+    axes = [ws.axis(j, h[j]) for j in range(d)]
+    base = np.array([ax.nw_marginal(ws, j) for j, ax in enumerate(axes)]) - ws.ybar
+    p = np.array([ax.p for ax in axes])
+    ops = _assembled_coupling(ws, h, g)
+    ops /= p[:, :, None]
+    m = np.zeros((d, g))
+    if init is not None:
+        m[:] = init
+    changes = _engine._sweeps(m, ops, lambda: base, tol, max_sweeps, start_axis)
+    m -= (m * (ws.tau * p)).sum(axis=1, keepdims=True)
+    return m, len(changes), changes
+
+
+def assembled_ll_solve(ws, h, init=None, tol=1e-6, max_sweeps=200, start_axis=0):
+    ws.switch_to_slopes()
+    d, g = ws.data.d, ws.grid.size
+    axes = [ws.axis(j, h[j]) for j in range(d)]
+    inv = np.array([ax.inverse(ws, j) for j, ax in enumerate(axes)])
+    i11, i12, i22 = inv[:, 0], inv[:, 1], inv[:, 2]
+    p = np.array([ax.p for ax in axes])
+    p1 = np.array([ax.p1 for ax in axes])
+    c = np.array([np.concatenate(ax.ll_marginal(ws, j)) for j, ax in enumerate(axes)])
+    q = np.concatenate([i11 * p + i12 * p1, i12 * p + i22 * p1], axis=1)
+    norm = np.concatenate([ws.tau * p, ws.tau * p1], axis=1)
+    ops = _assembled_coupling(ws, h, 2 * g)
+    rows = ops.reshape(d, 2, g, 2 * d * g)
+    swapped = rows[:, ::-1] * i12[:, None, :, None]
+    rows *= np.stack([i11, i22], axis=1)[..., None]
+    rows += swapped
+    state = np.zeros((d, 2 * g))
+    if init is not None:
+        state[:, :g] = init[0]
+        state[:, g:] = init[1]
+    z = state.reshape(-1)
+
+    def rhs():
+        return c - (ws.ybar - z @ norm.reshape(-1)) * q
+
+    changes = _engine._sweeps(state, ops, rhs, tol, max_sweeps, start_axis)
+    shift = (state * norm).sum(axis=1, keepdims=True)
+    return state[:, :g] - shift, state[:, g:].copy(), len(changes), changes
+
+
+def _bits(out):
+    """A solve's output with every array as bytes, for exact comparison."""
+    return [x.tobytes() if isinstance(x, np.ndarray) else x for x in out]
+
+
+def _held_pairs(ws):
+    return {key[1:] for key in ws._folded}
+
+
+def _pairs_of(keys, d):
+    return {
+        (a, b, float(h[a]), float(h[b]))
+        for h in keys
+        for a in range(d)
+        for b in range(a + 1, d)
+    }
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    d=st.integers(1, 4),
+    smoother=st.sampled_from(["ll", "nw"]),
+    warm=st.booleans(),
+    as_scan=st.booleans(),
+    data_h=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_solves_on_folded_blocks_equal_whole_operator_assembly(
+    seed, d, smoother, warm, as_scan, data_h
+):
+    data = _dataset(seed, n=80, d=d)
+    h = [data_h.draw(st.floats(0.12, 0.8)) for _ in range(d)]
+    j = data_h.draw(st.integers(0, d - 1))
+    keys = [tuple(h[:j] + [c] + h[j + 1 :]) for c in (0.15, 0.2, 0.3, h[j])]
+    solve = _engine.ll_solve if smoother == "ll" else _engine.nw_solve
+    reference = assembled_ll_solve if smoother == "ll" else assembled_nw_solve
+    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    ref_ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    if as_scan:
+        if smoother == "ll":
+            ws.switch_to_slopes()
+        ws.prepare(keys, smoother)
+        assert _held_pairs(ws) == _pairs_of(keys, d)
+    for start in range(d):
+        init = None
+        for key in keys:
+            got = solve(ws, key, init, start_axis=start)
+            want = reference(ref_ws, key, init, start_axis=start)
+            assert _bits(got) == _bits(want)
+            if warm:
+                init = want[:2] if smoother == "ll" else want[0]
+    # A scan's solves read the scan's blocks; one at a time, each solve
+    # holds its own.
+    assert _held_pairs(ws) == _pairs_of(keys if as_scan else keys[-1:], d)
+
+
+def test_store_holds_only_the_latest_preparing_call():
+    data = _dataset(11, n=80, d=3)
+    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    ws.switch_to_slopes()
+    scan = [(c, 0.3, 0.4) for c in (0.15, 0.2, 0.25)]
+    ws.prepare(scan, "ll")
+    assert _held_pairs(ws) == _pairs_of(scan, 3)
+    held = dict(ws._folded)
+    # Keys whose blocks are all held change nothing, and the blocks of a
+    # later call that needs a new one are reused, not refolded.
+    ws.prepare(scan[:2], "ll")
+    _engine.ll_solve(ws, scan[1])
+    assert ws._folded == held
+    other = [(0.2, c, 0.4) for c in (0.3, 0.35)]
+    ws.prepare(other, "ll")
+    assert _held_pairs(ws) == _pairs_of(other, 3)
+    for key, blocks in ws._folded.items():
+        if key in held:
+            assert blocks is held[key]
+    # Nadaraya-Watson blocks are folded apart from local linear ones.
+    ws.prepare(other, "nw")
+    assert {key[0] for key in ws._folded} == {"nw"}
+    ws.prepare([], "ll")
+    assert {key[0] for key in ws._folded} == {"nw"}
+
+
+@pytest.mark.parametrize("smoother", ["ll", "nw"])
+def test_candidate_with_a_failing_axis_is_flagged_as_with_assembly(smoother):
+    # A bandwidth far below the grid spacing leaves observations with no
+    # grid mass, so every candidate with 0.004 on an axis fails in its
+    # axis build; its pairs are never built or folded.
+    from smoothfit import BandwidthSearchSpec, select_pls
+
+    data = _dataset(5, n=300, d=2)
+    spec = BandwidthSearchSpec(
+        candidates=[0.004, 0.1, 0.15, 0.2, 0.3], h0=[0.1, 0.15]
+    )
+
+    def fields(sel):
+        trace = [(t["h"].tobytes(), t["criterion"]) for t in sel.trace]
+        return sel.bandwidths.tobytes(), sel.criterion, sel.flags, trace
+
+    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    got = fields(select_pls(data, smoother, spec, GRID, workspace=ws))
+    assert not any(0.004 in key[3:] for key in ws._folded)
+    with mock.patch.object(_engine, "ll_solve", assembled_ll_solve), \
+            mock.patch.object(_engine, "nw_solve", assembled_nw_solve):
+        want = fields(select_pls(data, smoother, spec, GRID))
+    assert got == want
+    assert len(got[2]) == 1 and got[2][0].endswith("candidate fits failed")

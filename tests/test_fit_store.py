@@ -137,3 +137,24 @@ def test_scan_warm_starts_extrapolate_along_the_scanned_axis():
     # The scan turns to another axis: no extrapolation across the turn.
     init, start = fits._warm_start((0.2, 0.35, 0.4))
     assert start == 2 and init is last
+
+
+def test_solved_keys_are_not_prepared_again():
+    # A scan that a selector already solved on this workspace folds no
+    # coupling blocks: pls after the ase oracle must not fold for tuples
+    # it will read from the store.
+    cfg = SimConfig(model="m1", n=120, seed=5)
+    data, _ = generate(cfg, 0)
+    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    fits = _FitCache(ws, "ll", 1e-6, 200)
+    scan = [(c, 0.3, 0.35) for c in (0.2, 0.25, 0.3)]
+    fits.prepare(scan)
+    for key in scan:
+        fits.fit(key)
+    ws._folded = {}
+    _FitCache(ws, "ll", 1e-6, 200).prepare(scan)
+    assert ws._folded == {}
+    _FitCache(ws, "ll", 1e-6, 200).prepare(scan + [(0.2, 0.4, 0.35)])
+    assert {key[1:] for key in ws._folded} == {
+        (0, 1, 0.2, 0.4), (0, 2, 0.2, 0.35), (1, 2, 0.4, 0.35)
+    }

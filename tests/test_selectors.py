@@ -59,6 +59,20 @@ class TestBandwidthSearchSpec:
                 BandwidthSearchSpec(
                     candidates=np.geomspace(0.1, 0.5, 10), h0=np.array([bad])
                 )
+        good = dict(candidates=np.geomspace(0.1, 0.5, 10), h0=np.array([0.2]))
+        for bad in (0, -1, 2.5, True, "3"):
+            with pytest.raises(ValueError, match="max_outer"):
+                BandwidthSearchSpec(max_outer=bad, **good)
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="outer_tol"):
+                BandwidthSearchSpec(outer_tol=bad, **good)
+        assert BandwidthSearchSpec(max_outer=np.int64(1), **good).max_outer == 1
+
+    def test_bad_solver_controls_fail_before_any_fit(self, dataset2, grid25):
+        spec = BandwidthSearchSpec.for_sample_size(dataset2.n, 2, num=5)
+        for kwargs in (dict(fit_tol=0.0), dict(fit_tol=np.nan), dict(max_sweeps=0)):
+            with pytest.raises(ValueError):
+                select_pls(dataset2, "ll", spec, grid25, **kwargs)
 
     def test_nw_trim_margin_capped(self):
         spec = BandwidthSearchSpec.for_sample_size(200, 2)

@@ -1,12 +1,11 @@
 """Covariate sampling, data generation, and the study harness."""
 
 import json
-import os
 
 import numpy as np
 import pytest
 
-from smoothfit import SimConfig, generate, run_study, sample_covariates
+from smoothfit import SimConfig, _engine, generate, run_study, sample_covariates
 from smoothfit.errors import SamplerDegenerateError
 from smoothfit.simulate import SimReport, _pool_size
 
@@ -106,6 +105,17 @@ class TestSimConfig:
             SimConfig(model="m1", n=100, rho=1.0)
         with pytest.raises(ValueError):
             SimConfig(model="m2", n=100, selectors=("pls",))
+        for bad in (0.0, -1e-6, np.nan, np.inf):
+            with pytest.raises(ValueError, match="fit_tol"):
+                SimConfig(model="m1", n=100, fit_tol=bad)
+        # The search spec is built once up front, so a bad outer-loop
+        # control or search box fails before any replicate runs.
+        with pytest.raises(ValueError, match="max_outer"):
+            SimConfig(model="m1", n=100, max_outer=0)
+        with pytest.raises(ValueError, match="outer_tol"):
+            SimConfig(model="m1", n=100, outer_tol=np.nan)
+        with pytest.raises(ValueError, match="candidates"):
+            SimConfig(model="m1", n=100, search_num=3)
 
     def test_default_selectors(self):
         assert SimConfig(model="m1", n=100).selectors == (
@@ -188,13 +198,15 @@ class TestRunStudy:
         assert serial.summary == parallel.summary
 
     def test_pool_size_is_clamped(self, monkeypatch):
-        # Only the clamp is computed here; no process is started.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # Only the clamp is computed here; no process is started.  The
+        # study pool counts the CPUs available to the process, as the
+        # build pool does.
+        monkeypatch.setattr(_engine, "_available_cpus", lambda: 2)
         base = dict(model="m2", n=50, selectors=("pls1",))
         assert _pool_size(SimConfig(workers=64, replicates=200, **base)) == 2
         assert _pool_size(SimConfig(workers=64, replicates=1, **base)) == 1
         assert _pool_size(SimConfig(workers=1, replicates=200, **base)) == 1
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        monkeypatch.setattr(_engine, "_available_cpus", lambda: 1)
         assert _pool_size(SimConfig(workers=2, replicates=5, **base)) == 1
 
     def test_single_replicate_has_null_standard_errors(self):
