@@ -73,21 +73,22 @@ read and filled only by ``selectors._FitCache``.
 Ahead-of-time fills.  Before a coordinate scan and before each solve,
 ``Workspace.prepare`` builds the missing axes, then the missing pairs,
 that the coming backfits read, and then folds their coupling blocks.  It
-runs at every n, and uses threads only where one axis build covers at
-least ``_PARALLEL_WORK`` (n * G) weights; below that the hand-off costs
-more than it saves, and axes and pairs are built on the calling thread
-through ``Workspace.axis`` and ``Workspace._pair_blocks``, as on demand.
-Above it, the axes are built on a thread pool with one thread per CPU
-available to the process, and the pairs on the calling thread, grouped
-so that each partner is laid out once per band side's axis: their many
-small products gain nothing from a second thread under the interpreter
-lock.  Workers run the same code on the same inputs as an on-demand
-build, and the results enter the caches from the calling thread, so
-every number is bitwise the one a serial fill gives.  Processes of a
-study's process pool build serially; a forked child starts its own pool.
-Entries built above the threshold bypass ``axis`` and ``_pair_blocks``,
-so the benchmark tracer, which counts lookups there, reads their later
-lookups as hits.
+runs at every n.  Where one axis build covers at least ``_PARALLEL_WORK``
+(n * G) weights, the axes are built on threads, one per CPU available to
+the process, started for that fill and joined before it goes on; below
+that the hand-off costs more than it saves, and they are built through
+``Workspace.axis``.  The threads run the same code on the same inputs,
+and the results enter the caches from the calling thread, so every
+number is bitwise the one a serial fill gives.  Processes of a study's
+process pool build serially.  The pairs are built on the calling thread
+(their many small products gain nothing from a second thread under the
+interpreter lock) through ``Workspace._pair_blocks``, as the folds read
+them in sorted key order, in which the pairs that share a layout of a
+partner follow each other: a one-entry memo lays each partner out once
+for them.  So the benchmark tracer, which counts lookups at ``axis`` and
+``_pair_blocks``, sees every pair build, and reads only the later
+lookups of axes built on threads as hits.  An axis build that raises a
+SmoothfitError is kept as that error and not tried again.
 
 The folded blocks of a pair are the pair block scaled by the quadrature
 weights, with each row multiplied through by its axis's moment inverse
@@ -108,7 +109,6 @@ from __future__ import annotations
 
 import numbers
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -148,13 +148,13 @@ _SING_RTOL = 1e-12
 _RIDGE_SCALE = 1e-9
 
 
-# ``Workspace.prepare`` fills caches ahead of a scan or solve only when
-# one axis build handles at least this many (grid point, observation)
-# weights, n * G.  Measured with `smoothfit select` on two cores, one BLAS
-# thread and G = 25 (with dense weights, all on the pool), the threaded
-# time over the serial one was 0.99-1.13 at n = 500, 0.94-1.01 at
-# n = 2000 and 0.81 (pls, either smoother) or 1.07 (pl_star) at n = 5000,
-# so the threshold lies between the last two.
+# ``Workspace.prepare`` builds axes on threads only when one axis build
+# handles at least this many (grid point, observation) weights, n * G.
+# Measured with `smoothfit select` on two cores, one BLAS thread and
+# G = 25 (with dense weights, all on threads), the threaded time over the
+# serial one was 0.99-1.13 at n = 500, 0.94-1.01 at n = 2000 and 0.81
+# (pls, either smoother) or 1.07 (pl_star) at n = 5000, so the threshold
+# lies between the last two.
 _PARALLEL_WORK = 1 << 16
 
 # An axis is stored banded only where its runs of observations with the
@@ -188,24 +188,9 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# The process's build pool: created on first use with one thread per
-# available CPU, never in a process that builds serially (one thread).
+# Threads per threaded fill: one per CPU available to the process, or one
+# (no threads) in a process that builds serially.
 _build_threads = _available_cpus()
-_build_pool = None
-_build_pool_lock = threading.Lock()
-
-
-def _pool():
-    """The build pool, or None where caches are built serially."""
-    global _build_pool
-    if _build_threads < 2:
-        return None
-    with _build_pool_lock:
-        if _build_pool is None:
-            _build_pool = ThreadPoolExecutor(
-                _build_threads, thread_name_prefix="smoothfit-build"
-            )
-        return _build_pool
 
 
 def _build_serially() -> None:
@@ -215,36 +200,27 @@ def _build_serially() -> None:
     _build_threads = 1
 
 
-def _forget_pool() -> None:
-    # A forked child inherits the pool object but none of its threads;
-    # it creates its own on first use.
-    global _build_pool, _build_pool_lock
-    _build_pool, _build_pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _run_builds(pool, build, calls: list) -> list:
-    """``[build(*args) for args in calls]``, on ``pool`` unless it is
-    None, with None for every call that raised a SmoothfitError; other
-    errors propagate."""
-
-    def run(args):
-        try:
-            return build(*args)
-        except SmoothfitError:
-            return None
-
-    if pool is None:
-        return [run(args) for args in calls]
-    futures = [pool.submit(run, args) for args in calls]
+def _built(build, *args):
+    """``build(*args)``, or the SmoothfitError it raised.  The error is
+    kept by a memo of failed builds, so it is stripped of the frames (and
+    arrays) of its traceback and context."""
     try:
-        return [future.result() for future in futures]
-    finally:
-        for future in futures:
-            future.cancel()
+        return build(*args)
+    except SmoothfitError as err:
+        err.__context__ = None
+        return err.with_traceback(None)
+
+
+def _run_builds(build, calls: list) -> list:
+    """``[_built(build, *args) for args in calls]``; two or more calls run
+    on up to ``_build_threads`` threads, started here and joined before it
+    returns."""
+    if _build_threads > 1 and len(calls) > 1:
+        with ThreadPoolExecutor(
+            min(_build_threads, len(calls)), thread_name_prefix="smoothfit-build"
+        ) as pool:
+            return list(pool.map(lambda args: _built(build, *args), calls))
+    return [_built(build, *args) for args in calls]
 
 
 def _ridged_inverse(m00, m01, m11, j, points):
@@ -400,21 +376,19 @@ def _band_side(sa: _AxisStats, sb: _AxisStats) -> bool:
     return sb.width > sa.width
 
 
-def _lay_out(st: _AxisStats, order, g: int, buf=None) -> np.ndarray:
+def _lay_out(st: _AxisStats, order, g: int, buf: np.ndarray) -> np.ndarray:
     """The weights of ``st`` as one dense array, level rows over slope
     rows ((G, n) or (2G, n)), with columns in ``order``, the band side's
     (None for input order).
 
     A dense axis in input order is returned as it is (``wb``).  Otherwise
     the weights are written into ``buf``, of G more rows than that for
-    scratch, or into a fresh array.
+    scratch.
     """
     if order is None and st.order is None:
         return st.wb
     halves = (st.w, st.b) if st.b.size else (st.w,)
     rows = len(halves) * g
-    if buf is None:
-        buf = np.empty((rows + g, st.w.shape[1]))
     if st.order is None:
         pos = order
     else:
@@ -433,22 +407,19 @@ def _lay_out(st: _AxisStats, order, g: int, buf=None) -> np.ndarray:
     return buf[:rows]
 
 
-def _pair_product(ws: "Workspace", sa: _AxisStats, sb: _AxisStats, layout=None) -> tuple:
+def _pair_product(ws: "Workspace", band: _AxisStats, layout: np.ndarray, flip: bool) -> tuple:
     """The cached pair entry of axes a < b: ``(s,)`` with ``s`` the sample
     average of outer products of their weights, rows on a's (level[,
     slope]) and columns on b's; G x G level-only, else 2G x 2G.
 
-    Per run of the band side, small products against the other axis laid
-    out densely in the band side's order (``layout``, from ``_lay_out``,
-    or laid out here).  The level block is a product of its own, so it
-    holds the same numbers whether or not slopes were built.  A dense
-    band side is one run over the whole grid, written in place.
+    Per run of ``band``, the pair's band side (b where ``flip``, else a),
+    small products against the other axis laid out densely in the band
+    side's order (``layout``, from ``_lay_out``).  The level block is a
+    product of its own, so it holds the same numbers whether or not slopes
+    were built.  A dense band side is one run over the whole grid, written
+    in place.
     """
-    flip = _band_side(sa, sb)
-    band, other = (sb, sa) if flip else (sa, sb)
     g, k = ws.grid.size, band.width
-    if layout is None:
-        layout = _lay_out(other, band.order, g)
     slopes = band.b.size > 0
     out = np.zeros((len(layout), len(layout)))
     prod = out if k == g else np.empty((len(band.wb), len(layout)))
@@ -479,6 +450,12 @@ class Workspace:
         self._axes: dict = {}
         self._pairs: dict = {}
         self._slopes = False
+        # The SmoothfitError of each (axis, bandwidth) whose build raised.
+        self._failed: dict = {}
+        # The layout memo of pair builds (see ``_partner``): ((band side's
+        # axis, band dense), partner, layout), and the buffer it lays out
+        # into; ``prepare`` drops both when it returns.
+        self._layout = self._layout_buf = None
         # The selectors' solved backfits (see ``selectors._FitCache``):
         # (smoother, tol, max_sweeps, bandwidth tuple) -> the levels, and
         # the slopes for local linear, or None where the solve failed.
@@ -506,16 +483,30 @@ class Workspace:
             self._slopes = True
             self._axes.clear()
             self._pairs.clear()
+            self._failed.clear()
             self._folded = {}
+            self._layout = self._layout_buf = None
 
     # -- cached primitives -------------------------------------------------
 
     def axis(self, j: int, h: float) -> _AxisStats:
+        """The statistics of axis j at bandwidth h, built on first use.  A
+        build that raised a SmoothfitError is not tried again: every later
+        call raises the same error."""
         key = (j, float(h))
         st = self._axes.get(key)
         if st is None:
-            st = self._axes[key] = _AxisStats(self, j, float(h), self._slopes)
+            st = self._failed.get(key)
+            if st is None:
+                st = self._keep(key, _built(_AxisStats, self, *key, self._slopes))
+            if isinstance(st, SmoothfitError):
+                raise st.with_traceback(None)
         return st
+
+    def _keep(self, key, built):
+        """Enter the result of an axis build, stats or SmoothfitError."""
+        (self._failed if isinstance(built, SmoothfitError) else self._axes)[key] = built
+        return built
 
     def ll_marginal(self, j: int, h: float):
         """(levels, slopes) of the local linear regression of y on axis j.
@@ -533,17 +524,17 @@ class Workspace:
         workspace to slopes first.
 
         Where one axis build covers at least ``_PARALLEL_WORK`` weights,
-        axes are built on the build pool where there is one; worker
-        threads run only ``_AxisStats``, and the results enter the cache
-        from this thread in sorted key order.  This thread then builds the
-        pairs that read them, grouped so that each partner is laid out
-        once per band side's axis, into one buffer the call reuses.  Below
-        the threshold, axes and pairs are built on demand through ``axis``
-        and ``_pair_blocks``.  Every entry holds the same numbers as when
-        built on demand.  An axis whose build raises a SmoothfitError
-        stays unbuilt, and a key with such an axis (or with a singular
-        moment inverse or an empty marginal) gets no pairs and no folded
-        blocks: the solve that needs it raises that error itself.
+        the missing axes are built on threads started for this call and
+        joined before the pairs (see ``_run_builds``); below it, through
+        ``axis``.  Pairs are built on this thread through ``_pair_blocks``
+        as the folds read them, in sorted key order, so that the layout
+        memo lays each partner out once per run of pairs that share it;
+        the memo is dropped when this call returns.  Every entry holds the
+        same numbers as when built on demand.  An axis whose build raises
+        a SmoothfitError is not tried again (see ``axis``), and a key with
+        such an axis (or with a singular moment inverse or an empty
+        marginal) gets no pairs and no folded blocks: the solve that needs
+        it raises that error itself.
 
         The store of folded blocks is bounded: a call that needs a block
         it does not hold replaces it with exactly its own keys' blocks,
@@ -561,15 +552,15 @@ class Workspace:
         # stops here.
         if d > 1 and all(key in held for blocks in pairs for key in blocks):
             return
-        threaded = self.data.n * g >= _PARALLEL_WORK
-        axes = sorted({(j, h[j]) for h in keys for j in range(d)} - self._axes.keys())
-        if threaded:
+        axes = {(j, h[j]) for h in keys for j in range(d)}
+        axes = sorted(axes - self._axes.keys() - self._failed.keys())
+        if self.data.n * g >= _PARALLEL_WORK:
             calls = [(self, j, h, self._slopes) for j, h in axes]
-            for key, st in zip(axes, _run_builds(_pool(), _AxisStats, calls)):
-                if st is not None:
-                    self._axes[key] = st
+            for key, st in zip(axes, _run_builds(_AxisStats, calls)):
+                self._keep(key, st)
         else:
-            _run_builds(None, self.axis, axes)
+            for key in axes:
+                _built(self.axis, *key)
         if d < 2:
             return
         ready = {}
@@ -593,38 +584,11 @@ class Workspace:
         missing = sorted(need - held.keys())
         if not missing:
             return
-        if threaded:
-            self._fill_pairs({key[1:] for key in missing} - self._pairs.keys())
         store = {key: held[key] for key in need.intersection(held)}
         for i in range(0, len(missing), _FOLD_CHUNK):
             store.update(self._fold(missing[i : i + _FOLD_CHUNK]))
         self._folded = store
-
-    def _fill_pairs(self, pairs) -> None:
-        """Build the pair entries ``pairs`` (keys (a, b, ha, hb), both axes
-        built) on this thread, each partner laid out once per band side's
-        axis."""
-        groups = {}
-        for a, b, ha, hb in sorted(pairs):
-            # Through ``axis``, like an on-demand pair build, so that
-            # counts of cache lookups do not depend on who built the
-            # pair (all hits).
-            sa, sb = self.axis(a, ha), self.axis(b, hb)
-            flip = _band_side(sa, sb)
-            band, other = (sb, sa) if flip else (sa, sb)
-            # Pairs whose band sides share an order and whose other
-            # axis is the same entry read one layout of it.
-            shared = (b if flip else a, band.order is None, id(other))
-            group = groups.setdefault(shared, (band, other, []))
-            group[2].append(((a, b, ha, hb), sa, sb))
-        if not groups:
-            return
-        g = self.grid.size
-        buf = np.empty(((3 if self._slopes else 2) * g, self.data.n))
-        for band, other, group in groups.values():
-            layout = _lay_out(other, band.order, g, buf)
-            for key, sa, sb in group:
-                self._pairs[key] = _pair_product(self, sa, sb, layout)
+        self._layout = self._layout_buf = None
 
     def _fold(self, chunk) -> dict:
         """The folded blocks of the pairs ``chunk``, keys (smoother, a, b,
@@ -657,14 +621,36 @@ class Workspace:
         Returns a one-element tuple: the sample average of outer products
         of the two axes' weights, ``w_a @ w_b.T / n`` (G x G) on a
         level-only workspace and the stacked 2G x 2G block of (level,
-        slope) halves once it has switched to slopes.
+        slope) halves once it has switched to slopes.  On a miss it is
+        built here, on every path, with the band side's partner laid out
+        through the layout memo (``_partner``).
         """
         key = (a, b, float(ha), float(hb))
         blocks = self._pairs.get(key)
         if blocks is None:
             sa, sb = self.axis(a, ha), self.axis(b, hb)
-            blocks = self._pairs[key] = _pair_product(self, sa, sb)
+            flip = _band_side(sa, sb)
+            band, other = (sb, sa) if flip else (sa, sb)
+            layout = self._partner(b if flip else a, band, other)
+            blocks = self._pairs[key] = _pair_product(self, band, layout, flip)
         return blocks
+
+    def _partner(self, j: int, band: _AxisStats, other: _AxisStats) -> np.ndarray:
+        """``other`` laid out in the order of ``band``, its pair's band
+        side on axis j: the memo's layout where the last pair laid out had
+        its band side on axis j, as dense or banded, and the same partner
+        entry; otherwise laid out anew into the memo's one buffer."""
+        shared = (j, band.order is None)
+        memo = self._layout
+        if memo is None or memo[0] != shared or memo[1] is not other:
+            g = self.grid.size
+            self._layout = None  # until the buffer holds the new layout
+            if self._layout_buf is None:
+                rows = (3 if self._slopes else 2) * g
+                self._layout_buf = np.empty((rows, self.data.n))
+            layout = _lay_out(other, band.order, g, self._layout_buf)
+            memo = self._layout = (shared, other, layout)
+        return memo[2]
 
     def operators(self, h, smoother: str) -> np.ndarray:
         """The coupling operators of a ``smoother`` solve at ``h``, shape

@@ -108,7 +108,7 @@ def _check_band(data, h, kernel, grid):
 
 def _pair_sources(data, spec, slopes):
     """Every way a pair block gets built: on demand, in a solve's
-    ``prepare``, in a scan of either axis, and on worker threads."""
+    ``prepare`` and in a scan of either axis."""
     h = tuple(float(c) for c in spec.candidates[[3, 9, 6]])
     smoother = "ll" if slopes else "nw"
     cands = [float(c) for c in spec.candidates]
@@ -135,7 +135,7 @@ def _pair_sources(data, spec, slopes):
 @pytest.mark.parametrize("slopes", [False, True])
 def test_pair_block_depends_on_its_key_alone(slopes, monkeypatch):
     # n = 600 with the band rule and the fill threshold lowered, so that
-    # banded axes, grouped layouts and worker threads all take part.
+    # banded axes, shared layouts and axes built on threads all take part.
     monkeypatch.setattr(_engine, "_BAND_RUN", 10)
     monkeypatch.setattr(_engine, "_PARALLEL_WORK", 1)
     cfg = SimConfig(model="m1", n=600, rho=0.5, seed=8)
@@ -146,18 +146,48 @@ def test_pair_block_depends_on_its_key_alone(slopes, monkeypatch):
     built = []
     for threads in (4, 1):
         monkeypatch.setattr(_engine, "_build_threads", threads)
-        monkeypatch.setattr(_engine, "_build_pool", None)
         for source in sources:
             ws = source()
             built.append([ws._pair_blocks(*key)[0].tobytes() for key in keys])
-        if _engine._build_pool is not None:
-            _engine._build_pool.shutdown(wait=True)
     assert all(b == built[0] for b in built[1:])
     # Banded axes on both band sides of the scanned pairs.
     ws = sources[1]()
     flips = {_engine._band_side(ws.axis(0, c), ws.axis(1, h[1])) for c in cands}
     assert flips == {False, True}
     assert ws.axis(1, h[1]).order is not None
+
+
+@pytest.mark.parametrize("slopes", [False, True])
+def test_a_scan_lays_each_partner_out_once_per_group(slopes, monkeypatch):
+    # Pairs whose band sides are on one axis, alike dense or banded, and
+    # whose partner is one entry share a layout; the scan's pairs are
+    # built in sorted key order, so each such group is laid out once.
+    monkeypatch.setattr(_engine, "_BAND_RUN", 10)
+    cfg = SimConfig(model="m1", n=600, rho=0.5, seed=8)
+    data, _ = generate(cfg, 0)
+    h, cands, _ = _pair_sources(data, cfg.search_spec(), slopes)
+    laid = []
+    lay_out = _engine._lay_out
+
+    def counting(*args):
+        laid.append(args[0])
+        return lay_out(*args)
+
+    monkeypatch.setattr(_engine, "_lay_out", counting)
+    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    if slopes:
+        ws.switch_to_slopes()
+    ws.prepare([(c, h[1], h[2]) for c in cands], "ll" if slopes else "nw")
+    groups = set()
+    for a, b, ha, hb in ws._pairs:
+        sa, sb = ws.axis(a, ha), ws.axis(b, hb)
+        flip = _engine._band_side(sa, sb)
+        band, other = (sb, sa) if flip else (sa, sb)
+        groups.add((b if flip else a, band.order is None, id(other)))
+    assert len(laid) == len(groups) < len(ws._pairs)
+    # Both band sides, and banded band sides, take part.
+    assert {key[:2] for key in groups} >= {(0, False), (1, False)}
+    assert ws._layout is None and ws._layout_buf is None
 
 
 def test_nadaraya_watson_does_not_depend_on_the_workspace_history():

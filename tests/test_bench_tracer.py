@@ -70,3 +70,25 @@ def test_traced_run_records_every_layer_and_restores_the_package(spans):
         assert now.keys() == saved.keys(), owner
         for attr, value in saved.items():
             assert now[attr] is value, f"{owner.__name__}.{attr} not restored"
+
+
+def _pair_lookups(spans, data, spec):
+    """(pair builds, pair hits) of a traced local linear pls selection."""
+    tracer = spans.Tracer()
+    with spans.traced(tracer):
+        simulate.select_pls(data, "ll", spec, Grid.regular(25))
+    builds = sum(1 for span in tracer.spans if span[0] == "pair.build")
+    return builds, tracer.hits["pair"]
+
+
+def test_traced_threaded_fills_record_their_pair_builds(spans, monkeypatch):
+    cfg = SimConfig(model="m1", n=120, seed=9, search_num=8)
+    data, _ = generate(cfg, 0)
+    serial = _pair_lookups(spans, data, cfg.search_spec())
+    monkeypatch.setattr(_engine, "_PARALLEL_WORK", 1)
+    monkeypatch.setattr(_engine, "_build_threads", 2)
+    threaded = _pair_lookups(spans, data, cfg.search_spec())
+    # Pairs are built through ``_pair_blocks`` on either path, so the
+    # tracer sees the same builds and hits.
+    assert threaded[0] > 0
+    assert threaded == serial

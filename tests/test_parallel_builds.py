@@ -1,13 +1,14 @@
-"""Cache fills on a thread pool give the serial numbers.
+"""Cache fills on build threads give the serial numbers.
 
 ``Workspace.prepare`` builds a scan's (or a solve's) missing axes on
-worker threads at large n, and then its pairs on the calling thread.
-These tests force it on at small n (work threshold 1) with more threads
-than a small machine has cores and a short switch interval, and compare
-every selection with the serial one bitwise, on dense weights (n = 300)
-and on banded ones (n = 2000 on a 9-point grid).
+threads it starts and joins at large n, and then its pairs on the
+calling thread.  These tests force it on at small n (work threshold 1)
+with more threads than a small machine has cores and a short switch
+interval, and compare every selection with the serial one bitwise, on
+dense weights (n = 300) and on banded ones (n = 2000 on a 9-point grid).
 """
 
+import collections
 import multiprocessing
 import sys
 import threading
@@ -33,10 +34,10 @@ GRID = Grid.regular(25)
 
 @pytest.fixture
 def threads(monkeypatch):
-    """Counts axis builds and pair products run off the main thread, and
-    returns a switch that sends every later cache fill through a fresh
-    four-thread pool."""
-    seen = {"axis": [], "pair": 0}
+    """Counts axis builds and pair products run off the main thread and
+    the executors of build threads started, and returns a switch that
+    sends every later cache fill through four build threads."""
+    seen = {"axis": [], "pair": 0, "executors": 0}
     lock = threading.Lock()
     axis_cls, pair_fn = _engine._AxisStats, _engine._pair_product
 
@@ -58,23 +59,25 @@ def threads(monkeypatch):
                 seen["pair"] += 1
         return pair_fn(*args)
 
+    class Executor(_engine.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            with lock:
+                seen["executors"] += 1
+
     monkeypatch.setattr(_engine, "_AxisStats", Axis)
     monkeypatch.setattr(_engine, "_pair_product", pair)
+    monkeypatch.setattr(_engine, "ThreadPoolExecutor", Executor)
     interval = sys.getswitchinterval()
-    enabled = []
 
     def enable():
         monkeypatch.setattr(_engine, "_PARALLEL_WORK", 1)
         monkeypatch.setattr(_engine, "_build_threads", 4)
-        monkeypatch.setattr(_engine, "_build_pool", None)
         sys.setswitchinterval(1e-5)
-        enabled.append(True)
 
     enable.seen = seen
     yield enable
     sys.setswitchinterval(interval)
-    if enabled and _engine._build_pool is not None:
-        _engine._build_pool.shutdown(wait=True)
 
 
 def _m1(n):
@@ -128,10 +131,10 @@ def _threaded_against_serial(n, grid, threads):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_engine, "_AxisStats", Recording)
         serial = _selections(data, truth, spec, grid)
-    assert threads.seen == {"axis": [], "pair": 0}
+    assert threads.seen == {"axis": [], "pair": 0, "executors": 0}
     threads()
     threaded = _selections(data, truth, spec, grid)
-    # Axes are built on the workers, pairs on the calling thread.
+    # Axes are built on the build threads, pairs on the calling thread.
     assert threads.seen["axis"] and threads.seen["pair"] == 0
     assert threaded == serial
     return widths
@@ -171,11 +174,58 @@ def test_no_pool_below_the_work_threshold(m1_sample, threads, monkeypatch):
     # n <= 500 on the default grid always builds on the calling thread.
     assert 500 * GRID.size < _engine._PARALLEL_WORK
     monkeypatch.setattr(_engine, "_build_threads", 2)
-    monkeypatch.setattr(_engine, "_build_pool", None)
     data, truth, spec = m1_sample
     _selections(data, truth, spec)
-    assert _engine._build_pool is None
-    assert threads.seen == {"axis": [], "pair": 0}
+    assert threads.seen == {"axis": [], "pair": 0, "executors": 0}
+
+
+def _build_threads_alive():
+    return [t.name for t in threading.enumerate() if t.name.startswith("smoothfit-build")]
+
+
+def test_build_threads_are_joined_before_a_fill_returns(m1_sample, threads):
+    data, _, spec = m1_sample
+    assert not _build_threads_alive()
+    threads()
+    select_pls(data, "ll", spec, GRID)
+    assert threads.seen["executors"] and threads.seen["axis"]
+    assert not _build_threads_alive()
+
+
+def _two_covariates_with_a_failing_candidate():
+    """d = 2, n = 300: axis 0 uniform, so that its 0.004 candidate leaves
+    observations with no grid mass and its build raises; axis 1 on the
+    grid points, where the same candidate builds."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.0, 1.0, (300, 2))
+    x[:, 1] = np.round(x[:, 1] * 24) / 24
+    y = x[:, 0] ** 2 + np.sin(3 * x[:, 1]) + rng.normal(0.0, 0.1, 300)
+    spec = BandwidthSearchSpec(candidates=[0.004, 0.1, 0.15, 0.2, 0.3], h0=[0.1, 0.1])
+    return Dataset(x=x, y=y), spec
+
+
+@pytest.mark.parametrize("work", [None, 1])
+@pytest.mark.parametrize("smoother", ["ll", "nw"])
+def test_a_failed_axis_build_is_not_tried_again(work, smoother, monkeypatch):
+    if work is not None:
+        monkeypatch.setattr(_engine, "_PARALLEL_WORK", work)
+        monkeypatch.setattr(_engine, "_build_threads", 2)
+    built = collections.Counter()
+
+    class Counting(_engine._AxisStats):
+        __slots__ = ()
+
+        def __init__(self, ws, j, h, slopes):
+            built[j, h] += 1
+            super().__init__(ws, j, h, slopes)
+
+    monkeypatch.setattr(_engine, "_AxisStats", Counting)
+    data, spec = _two_covariates_with_a_failing_candidate()
+    sel = select_pls(data, smoother, spec, GRID)
+    assert sel.flags == ["1 candidate fits failed"]
+    # The scan's fill tries it once; the solve's own fill skips it, and
+    # the solve's lookup raises the kept error.
+    assert built[0, 0.004] == 1 and built[1, 0.004] == 1
 
 
 def _select_in_child(data, spec):
@@ -187,8 +237,8 @@ def test_processes_started_after_a_threaded_build_finish(m1_sample, threads):
     threads()
     expected = select_pls(data, "nw", spec, GRID).bandwidths
     assert threads.seen["axis"]
-    # A study's worker processes build serially; a forked child builds
-    # on a pool of its own instead of its parent's dead threads.
+    # A study's worker processes build serially; a forked child starts
+    # build threads of its own.
     base = dict(model="m1", n=60, replicates=2, seed=13, selectors=("pls",),
                 search_num=8)
     serial = run_study(SimConfig(workers=1, **base))
