@@ -7,14 +7,22 @@ warm starts) dominate the running time.
 
 Layout.  A workspace starts level-only, which is all the Nadaraya-Watson
 smoother reads.  Per (axis, bandwidth), ``_AxisStats`` keeps the
-grid-normalized kernel weights ``w``, the marginal density and the
+grid-normalized kernel weights ``w``, the marginal density ``p`` and the
 kernel-weighted response sums; its slope weights ``b`` are empty.  The
-first local linear request (``ll_solve`` or ``Workspace.ll_marginal``)
-switches the workspace to (level, slope) statistics for good, before it
-fetches any axis.  The switch drops every cached axis and pair, and from
-then on each axis also keeps the offset-weighted weights
-``b = w * (X - u)``.  No entry is ever upgraded in place, and asking a
-level-only axis for local linear statistics is an internal error.
+first local linear request (``Workspace.prepare`` with "ll", which
+``ll_solve`` calls, or ``Workspace.ll_marginal``) switches the workspace
+to (level, slope) statistics for good, before it fetches any axis.  The
+switch drops every cached axis and pair, and from then on each axis also
+keeps the offset-weighted weights ``b = w * (X - u)``, the ridged moment
+inverse ``inv`` and the marginal local linear fit ``ll``.  No entry is
+ever upgraded in place; a level-only axis holds None for the local
+linear statistics.
+
+An axis is built complete or not at all.  Its build fails with
+EmptyNeighborhoodError where an observation has no grid mass or a grid
+point has no observation within h (``p`` is not positive there), and
+with SingularMomentError where a moment matrix stays singular after the
+ridge.  So a built axis has every factor that a solve divides by.
 
 The weights are banded.  Kernels vanish outside [-1, 1] (the contract of
 ``KernelSpec``), so an observation's weights are nonzero only at the grid
@@ -55,8 +63,9 @@ division by the marginal density (NW) or the ridged 2x2 moment inverse
 ``m0`` the intercept and ``q_j`` the smoother applied to a constant.  A
 solve assembles ``ops`` by copying the folded, oriented blocks of its
 pairs, which ``Workspace.prepare`` holds, into a zeroed array, and stacks
-the rows (``c_j``, ``q_j``, the norming weights, the NW base) that each
-``_AxisStats`` caches.  A sweep updates the axes in cyclic order from
+the rows of each axis: for NW the marginal fit minus the intercept, for
+LL ``c_j``, ``q_j`` and the norming weights, which ``_AxisStats.ll_rows``
+keeps.  A sweep updates the axes in cyclic order from
 ``start_axis``, 0 unless the caller says otherwise.  The selectors
 warm-start each candidate of a coordinate scan from the fits before it
 and start the sweep at the scanned axis, the one whose bandwidth moved
@@ -88,7 +97,9 @@ partner follow each other: a one-entry memo lays each partner out once
 for them.  So the benchmark tracer, which counts lookups at ``axis`` and
 ``_pair_blocks``, sees every pair build, and reads only the later
 lookups of axes built on threads as hits.  An axis build that raises a
-SmoothfitError is kept as that error and not tried again.
+SmoothfitError is kept as that error and not tried again, and a
+bandwidth tuple gets pairs and folded blocks if and only if all of its
+axes are built.
 
 The folded blocks of a pair are the pair block scaled by the quadrature
 weights, with each row multiplied through by its axis's moment inverse
@@ -98,9 +109,8 @@ so a solve reads bitwise the numbers it would fold itself.  They are
 folded a few pairs at a time (``_FOLD_CHUNK``), and the store is
 bounded: it holds only the blocks of the latest ``prepare`` that needed
 a new one, that is one scan's candidates or one solve's tuple, reusing
-blocks already held.  A block whose axis build, moment inverse or
-marginal raises a SmoothfitError is not folded, and the solve that needs
-it raises that error itself.
+blocks already held.  A block with an axis whose build failed is not
+folded, and the solve that needs it raises that axis's error itself.
 
 Not part of the public API.
 """
@@ -254,11 +264,18 @@ class _AxisStats:
     weights ``b = w * (X - u)``; without slopes ``b`` is an empty (0, n)
     array and the slope statistics are None.  A dense axis has width G,
     input order and one run.
+
+    The build fails, with nothing kept, unless every grid point has a
+    positive density ``p`` and, with slopes, a moment matrix that the
+    ridge makes invertible; see ``_ridged_inverse``.  With slopes it
+    also keeps the inverse entries ``inv = (i11, i12, i22)`` and the
+    marginal local linear fit ``ll = (levels, slopes)``, arrays that
+    callers must not modify.
     """
 
     __slots__ = (
         "wb", "w", "b", "width", "runs", "order", "rank",
-        "p", "p1", "m11", "a0", "a1", "_inv", "_nw", "_ll", "_rows", "_base",
+        "p", "p1", "m11", "a0", "a1", "inv", "ll", "_rows",
     )
 
     def __init__(self, ws: "Workspace", j: int, h: float, slopes: bool):
@@ -293,19 +310,21 @@ class _AxisStats:
         except EmptyNeighborhoodError as err:
             raise EmptyNeighborhoodError(j, err.where, f"bandwidth {h:g}") from None
         self.p = self._total(g, self.w)
+        empty = self.p <= 0.0
+        if np.any(empty):
+            where = float(ws.grid.points[int(np.argmax(empty))])
+            raise EmptyNeighborhoodError(j, where, f"bandwidth {h:g}")
         self.a0 = self._total(g, self.w, y)
+        self.p1 = self.m11 = self.a1 = self.inv = self.ll = self._rows = None
         if slopes:
             np.multiply(self.w, offset, out=self.b)
             self.p1 = self._total(g, self.b)
             self.m11 = self._total(g, np.multiply(self.b, offset, out=offset))
             self.a1 = self._total(g, self.b, y)
-        else:
-            self.p1 = self.m11 = self.a1 = None
-        self._inv = None
-        self._nw = None
-        self._ll = None
-        self._rows = None
-        self._base = None
+            self.inv = i11, i12, i22 = _ridged_inverse(
+                self.p, self.p1, self.m11, j, ws.grid.points
+            )
+            self.ll = (i11 * self.a0 + i12 * self.a1, i12 * self.a0 + i22 * self.a1)
 
     def _total(self, g: int, rows: np.ndarray, y=None) -> np.ndarray:
         """Per grid point, the sample mean of the banded ``rows`` (times
@@ -321,51 +340,18 @@ class _AxisStats:
                 )
         return out / rows.shape[1]
 
-    def nw_marginal(self, ws: "Workspace", j: int) -> np.ndarray:
-        if self._nw is None:
-            if np.any(self.p <= 0.0):
-                g = int(np.argmin(self.p))
-                raise EmptyNeighborhoodError(j, float(ws.grid.points[g]))
-            self._nw = self.a0 / self.p
-        return self._nw
-
-    def nw_base(self, ws: "Workspace", j: int) -> np.ndarray:
-        """The NW solve's base row: the marginal fit minus the intercept."""
-        if self._base is None:
-            self._base = self.nw_marginal(ws, j) - ws.ybar
-        return self._base
-
-    def inverse(self, ws: "Workspace", j: int):
-        """Entries (i11, i12, i22) of the ridged 2x2 moment inverse."""
-        if self._inv is None:
-            if self.m11 is None:
-                raise RuntimeError(
-                    f"local linear statistics requested from a level-only axis {j}"
-                )
-            self._inv = _ridged_inverse(self.p, self.p1, self.m11, j, ws.grid.points)
-        return self._inv
-
-    def ll_marginal(self, ws: "Workspace", j: int):
-        """(levels, slopes) of the local linear regression of y on axis j.
-
-        The arrays are cached; callers must not modify them.
-        """
-        if self._ll is None:
-            i11, i12, i22 = self.inverse(ws, j)
-            self._ll = (i11 * self.a0 + i12 * self.a1, i12 * self.a0 + i22 * self.a1)
-        return self._ll
-
-    def ll_rows(self, ws: "Workspace", j: int):
-        """The local linear solve's rows of axis j, each (level, slope) of
-        length 2G: the marginal fit c, the moment inverse applied to the
-        intercept's moments q, and the weights of the norming functional."""
+    def ll_rows(self, tau: np.ndarray):
+        """The local linear solve's rows of this axis, each (level, slope)
+        of length 2G: the marginal fit c, the moment inverse applied to
+        the intercept's moments q, and the weights of the norming
+        functional (``tau`` the quadrature weights)."""
         if self._rows is None:
-            i11, i12, i22 = self.inverse(ws, j)
+            i11, i12, i22 = self.inv
             p, p1 = self.p, self.p1
             self._rows = (
-                np.concatenate(self.ll_marginal(ws, j)),
+                np.concatenate(self.ll),
                 np.concatenate((i11 * p + i12 * p1, i12 * p + i22 * p1)),
-                np.concatenate((ws.tau * p, ws.tau * p1)),
+                np.concatenate((tau * p, tau * p1)),
             )
         return self._rows
 
@@ -515,13 +501,13 @@ class Workspace:
         callers must not modify them.
         """
         self.switch_to_slopes()
-        return self.axis(j, h).ll_marginal(self, j)
+        return self.axis(j, h).ll
 
     def prepare(self, keys, smoother: str) -> None:
         """Build the missing axes and pairs that ``smoother`` ("nw" or
         "ll") backfits at the bandwidth tuples ``keys`` read, then fold
-        their coupling blocks.  A local linear caller switches the
-        workspace to slopes first.
+        their coupling blocks.  With "ll" it switches the workspace to
+        slopes first.
 
         Where one axis build covers at least ``_PARALLEL_WORK`` weights,
         the missing axes are built on threads started for this call and
@@ -531,16 +517,18 @@ class Workspace:
         memo lays each partner out once per run of pairs that share it;
         the memo is dropped when this call returns.  Every entry holds the
         same numbers as when built on demand.  An axis whose build raises
-        a SmoothfitError is not tried again (see ``axis``), and a key with
-        such an axis (or with a singular moment inverse or an empty
-        marginal) gets no pairs and no folded blocks: the solve that needs
-        it raises that error itself.
+        a SmoothfitError is not tried again (see ``axis``).  A key gets
+        pairs and folded blocks if and only if all of its axes are built;
+        the solve of a key with a failed axis raises that axis's error
+        itself.
 
         The store of folded blocks is bounded: a call that needs a block
         it does not hold replaces it with exactly its own keys' blocks,
         reusing those already held; a call that needs none leaves it as
         it is.
         """
+        if smoother == "ll":
+            self.switch_to_slopes()
         d, g = self.data.d, self.grid.size
         keys = [[float(v) for v in h] for h in keys]
         pairs = [
@@ -563,23 +551,9 @@ class Workspace:
                 _built(self.axis, *key)
         if d < 2:
             return
-        ready = {}
-
-        def foldable(j, h):
-            # Built, with the factor that folds its rows.
-            if (j, h) not in ready:
-                st = self._axes.get((j, h))
-                ready[j, h] = st is not None
-                try:
-                    if st is not None:
-                        (st.inverse if smoother == "ll" else st.nw_marginal)(self, j)
-                except SmoothfitError:
-                    ready[j, h] = False
-            return ready[j, h]
-
         need = set()
         for h, blocks in zip(keys, pairs):
-            if all(foldable(j, h[j]) for j in range(d)):
+            if all((j, h[j]) in self._axes for j in range(d)):
                 need.update(blocks)
         missing = sorted(need - held.keys())
         if not missing:
@@ -597,22 +571,22 @@ class Workspace:
         g = self.grid.size
         r = 2 * g if smoother == "ll" else g
         blocks = np.empty((2 * len(chunk), r, r))
-        rows = []
+        axes = []
         for i, (_, a, b, ha, hb) in enumerate(chunk):
             blk = self._pair_blocks(a, b, ha, hb)[0][:r, :r]
             blocks[2 * i] = blk
             blocks[2 * i + 1] = blk.T
-            rows += [(a, self._axes[a, ha]), (b, self._axes[b, hb])]
+            axes += [self._axes[a, ha], self._axes[b, hb]]
         blocks *= np.tile(self.tau, r // g)
         if smoother == "ll":
             # (level, slope) rows become (i11, i12; i12, i22) combinations.
-            inv = np.array([st.inverse(self, j) for j, st in rows])
-            halves = blocks.reshape(len(rows), 2, g, r)
+            inv = np.array([st.inv for st in axes])
+            halves = blocks.reshape(len(axes), 2, g, r)
             swapped = halves[:, ::-1] * inv[:, 1, None, :, None]
             halves *= inv[:, ::2, :, None]
             halves += swapped
         else:
-            blocks /= np.array([st.p for _, st in rows])[:, :, None]
+            blocks /= np.array([st.p for st in axes])[:, :, None]
         return {key: (blocks[2 * i], blocks[2 * i + 1]) for i, key in enumerate(chunk)}
 
     def _pair_blocks(self, a: int, b: int, ha: float, hb: float):
@@ -738,7 +712,7 @@ def nw_solve(
     d, g = ws.data.d, ws.grid.size
     ws.prepare([h], "nw")
     axes = [ws.axis(j, h[j]) for j in range(d)]
-    base = np.array([ax.nw_base(ws, j) for j, ax in enumerate(axes)])
+    base = np.array([ax.a0 / ax.p - ws.ybar for ax in axes])
     p = np.array([ax.p for ax in axes])
     ops = ws.operators(h, "nw")
     m = np.zeros((d, g))
@@ -769,11 +743,9 @@ def ll_solve(
     component's norming functional vanishes and the intercept equals the
     response mean.  Switches the workspace to slopes first.
     """
-    ws.switch_to_slopes()
     ws.prepare([h], "ll")
     d, g = ws.data.d, ws.grid.size
-    axes = [ws.axis(j, h[j]) for j in range(d)]
-    rows = [ax.ll_rows(ws, j) for j, ax in enumerate(axes)]
+    rows = [ws.axis(j, h[j]).ll_rows(ws.tau) for j in range(d)]
     c, q, norm = (np.array(col) for col in zip(*rows))
     ops = ws.operators(h, "ll")
     state = np.zeros((d, 2 * g))

@@ -58,8 +58,15 @@ def marginal_ll(
     """Ordinary local linear regression of y on covariate ``j``.
 
     Returns ``(levels, slopes)`` on the grid.  Near-singular moment
-    matrices are ridged; a moment matrix that is exactly zero raises
-    SingularMomentError.
+    matrices are ridged.
+
+    Raises
+    ------
+    EmptyNeighborhoodError
+        If a grid point has no observation within ``h`` (its moment
+        matrix is zero), or an observation has no grid mass.
+    SingularMomentError
+        If a local moment matrix is singular beyond the ridge.
     """
     ws = _engine.Workspace(data, grid, kernel)
     levels, slopes = ws.ll_marginal(j, h)
@@ -90,6 +97,9 @@ def backfit_ll(
         integer of at least 1.
     NonConvergenceError
         With the last sup-norm change attached, if sweeps run out.
+    EmptyNeighborhoodError
+        If, on some axis, a grid point has no observation within its
+        bandwidth, or an observation has no grid mass.
     SingularMomentError
         If a local moment matrix is singular beyond the ridge.
     """

@@ -68,10 +68,11 @@ def marginal_nw(
     Raises
     ------
     EmptyNeighborhoodError
-        If the marginal density vanishes at some grid point.
+        If the marginal density vanishes at some grid point (no
+        observation within ``h``), or an observation has no grid mass.
     """
-    ws = _engine.Workspace(data, grid, kernel)
-    return ws.axis(j, h).nw_marginal(ws, j).copy()
+    axis = _engine.Workspace(data, grid, kernel).axis(j, h)
+    return axis.a0 / axis.p
 
 
 def backfit_nw(
@@ -109,7 +110,8 @@ def backfit_nw(
         If ``max_sweeps`` sweeps do not reach ``tol``; carries the last
         sup-norm change.
     EmptyNeighborhoodError
-        If some marginal density vanishes on the grid.
+        If some marginal density vanishes on the grid, or an observation
+        has no grid mass.
     """
     h = np.asarray(h, dtype=float).ravel()
     if h.size != data.d:

@@ -39,6 +39,8 @@ class Dataset:
             )
         if x.shape[0] == 0:
             raise ValueError("dataset is empty")
+        if x.shape[1] == 0:
+            raise ValueError("dataset needs at least one covariate")
         for name, arr in (("covariates", x), ("responses", y)):
             finite = np.isfinite(arr)
             if not finite.all():

@@ -230,8 +230,6 @@ class _FitCache:
         where the workspace finds that worthwhile, and fold their coupling
         blocks; keys already in the store of solved backfits are skipped,
         as they will not be solved."""
-        if self.smoother == "ll":
-            self.ws.switch_to_slopes()
         head = (self.smoother, self.tol, self.max_sweeps)
         keys = [key for key in keys if (*head, key) not in self.ws._fits]
         self.ws.prepare(keys, self.smoother)
@@ -305,7 +303,6 @@ class _MarginalFit:
         self.ws = ws
 
     def prepare(self, keys):
-        self.ws.switch_to_slopes()
         self.ws.prepare(keys, "ll")
 
     def fit(self, key):
@@ -464,8 +461,12 @@ def _outer_loop(fits, update, spec: BandwidthSearchSpec, method: str, once=False
     Iterates ``h, criterion = update(h, flags)`` from ``spec.h0`` (the
     update returns a new array) until no bandwidth moves by
     ``outer_tol`` relative; ``once`` makes a single pass, for an update
-    that is exhaustive by itself.
+    that is exhaustive by itself.  Raises ValueError, before any fit,
+    when ``spec.h0`` does not hold one bandwidth per covariate.
     """
+    d = fits.ws.data.d
+    if spec.h0.size != d:
+        raise ValueError(f"h0 holds {spec.h0.size} bandwidths for {d} covariates")
     h = spec.h0.astype(float).copy()
     trace = []
     flags = []

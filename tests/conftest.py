@@ -26,6 +26,18 @@ def make_additive_dataset(seed, n=150, d=3, noise=0.1, funcs=None):
     return Dataset(x=x, y=y)
 
 
+def make_gap_dataset(d=1, n=200, seed=0):
+    """Covariate 0 on [0, 0.35] and [0.65, 1], a gap wider than 2h at
+    h = 0.1, so that the grid points 0.458333 .. 0.541667 of a 25-point
+    grid have no observation within h; any further covariates uniform."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, (n, d))
+    x[:, 0] = 0.7 * x[:, 0]
+    x[:, 0] += np.where(x[:, 0] < 0.35, 0.0, 0.3)
+    y = np.sin(3 * x[:, 0]) + rng.normal(0.0, 0.1, n)
+    return Dataset(x=x, y=y)
+
+
 @pytest.fixture
 def dataset3(grid25):
     return make_additive_dataset(seed=101)

@@ -1,5 +1,7 @@
 """Local linear smooth backfitting: levels and slopes jointly."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,9 @@ from smoothfit import (
     marginal_ll,
     predict_ll,
 )
-from smoothfit.errors import NonConvergenceError
+from smoothfit.errors import EmptyNeighborhoodError, NonConvergenceError
 
-from conftest import make_additive_dataset
+from conftest import make_additive_dataset, make_gap_dataset
 
 
 class TestMarginalLL:
@@ -43,8 +45,30 @@ class TestMarginalLL:
         assert level[12] == pytest.approx(1.0, abs=1e-6)
         assert slope[12] == pytest.approx(0.0, abs=1e-6)
 
+    def test_grid_point_without_observations_raises(self, grid25):
+        # No observation within h = 0.1 of 0.458333 (grid point 11): its
+        # moment matrix is zero, and the fit fails there, loudly and
+        # without a warning, instead of returning NaN levels.
+        data = make_gap_dataset()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyNeighborhoodError) as err:
+                marginal_ll(data, 0, 0.1, grid25)
+            level, slope = marginal_ll(data, 0, 0.2, grid25)
+        assert (err.value.axis, err.value.where) == (0, grid25.points[11])
+        assert "on axis 0 at 0.458333" in str(err.value)
+        assert np.all(np.isfinite(level)) and np.all(np.isfinite(slope))
+
 
 class TestBackfitLL:
+    def test_grid_point_without_observations_raises(self, grid25):
+        data = make_gap_dataset(d=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyNeighborhoodError) as err:
+                backfit_ll(data, [0.1, 0.2], grid25)
+        assert (err.value.axis, err.value.where) == (0, grid25.points[11])
+
     def test_single_axis_equals_centered_marginal(self, grid25):
         data = make_additive_dataset(seed=9, n=80, d=1)
         fit = backfit_ll(data, [0.2], grid25, tol=1e-12)

@@ -89,7 +89,7 @@ class TestBackfitNW:
         rhs = np.zeros(d * g)
         for j in range(d):
             ax = ws.axis(j, h[j])
-            rhs[j * g:(j + 1) * g] = ax.nw_marginal(ws, j) - ws.ybar
+            rhs[j * g:(j + 1) * g] = ax.a0 / ax.p - ws.ybar
             for k in range(d):
                 if k == j:
                     continue

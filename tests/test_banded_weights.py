@@ -92,6 +92,14 @@ def _check_band(data, h, kernel, grid):
         return
     ws = _engine.Workspace(data, grid, kernel)
     ws.switch_to_slopes()
+    # A grid point with no observation within h fails the build there.
+    uncovered = np.flatnonzero(w.sum(axis=1) <= 0.0)
+    if uncovered.size:
+        with pytest.raises(EmptyNeighborhoodError) as band_err:
+            ws.axis(0, h)
+        assert band_err.value.axis == 0
+        assert band_err.value.where == grid.points[uncovered[0]]
+        return
     ax = ws.axis(0, h)
     assert ax.width <= g and ax.w.shape == ax.b.shape == (ax.width, n)
     assert (ax.order is None) == (ax.width == g)
@@ -175,8 +183,6 @@ def test_a_scan_lays_each_partner_out_once_per_group(slopes, monkeypatch):
 
     monkeypatch.setattr(_engine, "_lay_out", counting)
     ws = _engine.Workspace(data, GRID, BIWEIGHT)
-    if slopes:
-        ws.switch_to_slopes()
     ws.prepare([(c, h[1], h[2]) for c in cands], "ll" if slopes else "nw")
     groups = set()
     for a, b, ha, hb in ws._pairs:

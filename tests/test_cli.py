@@ -13,6 +13,8 @@ from smoothfit import cli
 from smoothfit.cli import _InputError, _parse_fast, _read_csv, _write_json, main
 from smoothfit.errors import NumericError
 
+from conftest import make_gap_dataset
+
 
 def write_csv(path, x, y, header=None):
     d = x.shape[1]
@@ -168,6 +170,19 @@ class TestFit:
         # Positive but hopeless bandwidth: no grid point can see the
         # data, which is a solver-level failure, not an input error.
         assert main(["fit", csv1, "--h", "0.001"]) == 3
+
+    def test_grid_point_without_observations_exits_3(self, tmp_path):
+        # Covariate 0 has no observation within 0.1 of 0.458333.
+        data = make_gap_dataset(d=2)
+        path = tmp_path / "gap.csv"
+        write_csv(path, data.x, data.y)
+        proc = subprocess.run(
+            [sys.executable, "-m", "smoothfit", "fit", str(path), "--h", "0.1,0.2"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert "empty kernel neighborhood on axis 0 at 0.458333" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
 
 class TestSelect:

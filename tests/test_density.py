@@ -37,6 +37,10 @@ class TestDataset:
         with pytest.raises(ValueError, match="covariates must be finite; row 1"):
             Dataset(x=x, y=np.zeros(4))
 
+    def test_rejects_zero_covariates(self):
+        with pytest.raises(ValueError, match="at least one covariate"):
+            Dataset(x=np.empty((4, 0)), y=np.zeros(4))
+
 
 class TestGrid:
     def test_regular(self):

@@ -70,7 +70,7 @@ def _ref_ll_blocks(ws, src, dst, h_src, h_dst):
 def reference_nw_solve(ws, h, init=None, tol=1e-6, max_sweeps=200):
     d, g = ws.data.d, ws.grid.size
     axes = [ws.axis(j, h[j]) for j in range(d)]
-    marg = [axes[j].nw_marginal(ws, j) for j in range(d)]
+    marg = [axes[j].a0 / axes[j].p for j in range(d)]
     m = np.zeros((d, g)) if init is None else np.array(init, dtype=float)
     m0 = ws.ybar
     tau = ws.tau
@@ -102,7 +102,7 @@ def reference_ll_solve(ws, h, init=None, tol=1e-6, max_sweeps=200):
     ws.switch_to_slopes()
     d, g = ws.data.d, ws.grid.size
     axes = [ws.axis(j, h[j]) for j in range(d)]
-    invs = [axes[j].inverse(ws, j) for j in range(d)]
+    invs = [axes[j].inv for j in range(d)]
     if init is None:
         m = np.zeros((d, g))
         s = np.zeros((d, g))
@@ -254,8 +254,7 @@ def test_level_only_workspace_yields_the_level_product():
     ref = _ref_pair_blocks(ws, 0, 1, 0.3, 0.4)[0]
     np.testing.assert_allclose(block, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
     assert all(st.b.size == 0 for st in ws._axes.values())
-    with pytest.raises(RuntimeError):
-        sa.ll_marginal(ws, 0)
+    assert sa.inv is None and sa.ll is None
 
 
 def test_pair_block_is_stacked_after_a_local_linear_solve():
@@ -382,7 +381,7 @@ def _assembled_coupling(ws, h, r):
 def assembled_nw_solve(ws, h, init=None, tol=1e-6, max_sweeps=200, start_axis=0):
     d, g = ws.data.d, ws.grid.size
     axes = [ws.axis(j, h[j]) for j in range(d)]
-    base = np.array([ax.nw_marginal(ws, j) for j, ax in enumerate(axes)]) - ws.ybar
+    base = np.array([ax.a0 / ax.p for ax in axes]) - ws.ybar
     p = np.array([ax.p for ax in axes])
     ops = _assembled_coupling(ws, h, g)
     ops /= p[:, :, None]
@@ -398,11 +397,11 @@ def assembled_ll_solve(ws, h, init=None, tol=1e-6, max_sweeps=200, start_axis=0)
     ws.switch_to_slopes()
     d, g = ws.data.d, ws.grid.size
     axes = [ws.axis(j, h[j]) for j in range(d)]
-    inv = np.array([ax.inverse(ws, j) for j, ax in enumerate(axes)])
+    inv = np.array([ax.inv for ax in axes])
     i11, i12, i22 = inv[:, 0], inv[:, 1], inv[:, 2]
     p = np.array([ax.p for ax in axes])
     p1 = np.array([ax.p1 for ax in axes])
-    c = np.array([np.concatenate(ax.ll_marginal(ws, j)) for j, ax in enumerate(axes)])
+    c = np.array([np.concatenate(ax.ll) for ax in axes])
     q = np.concatenate([i11 * p + i12 * p1, i12 * p + i22 * p1], axis=1)
     norm = np.concatenate([ws.tau * p, ws.tau * p1], axis=1)
     ops = _assembled_coupling(ws, h, 2 * g)
@@ -463,8 +462,6 @@ def test_solves_on_folded_blocks_equal_whole_operator_assembly(
     ws = _engine.Workspace(data, GRID, BIWEIGHT)
     ref_ws = _engine.Workspace(data, GRID, BIWEIGHT)
     if as_scan:
-        if smoother == "ll":
-            ws.switch_to_slopes()
         ws.prepare(keys, smoother)
         assert _held_pairs(ws) == _pairs_of(keys, d)
     for start in range(d):
@@ -483,9 +480,9 @@ def test_solves_on_folded_blocks_equal_whole_operator_assembly(
 def test_store_holds_only_the_latest_preparing_call():
     data = _dataset(11, n=80, d=3)
     ws = _engine.Workspace(data, GRID, BIWEIGHT)
-    ws.switch_to_slopes()
     scan = [(c, 0.3, 0.4) for c in (0.15, 0.2, 0.25)]
     ws.prepare(scan, "ll")
+    assert ws._slopes
     assert _held_pairs(ws) == _pairs_of(scan, 3)
     held = dict(ws._folded)
     # Keys whose blocks are all held change nothing, and the blocks of a

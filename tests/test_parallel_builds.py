@@ -29,6 +29,8 @@ from smoothfit import (
 )
 from smoothfit import _engine
 
+from conftest import make_gap_dataset
+
 GRID = Grid.regular(25)
 
 
@@ -192,21 +194,35 @@ def test_build_threads_are_joined_before_a_fill_returns(m1_sample, threads):
     assert not _build_threads_alive()
 
 
-def _two_covariates_with_a_failing_candidate():
-    """d = 2, n = 300: axis 0 uniform, so that its 0.004 candidate leaves
-    observations with no grid mass and its build raises; axis 1 on the
-    grid points, where the same candidate builds."""
+def _two_covariates_with_a_failing_candidate(case):
+    """d = 2, n = 300, and the candidate (axis 0, h) whose build raises.
+
+    ``"observation"``: axis 0 uniform, so that its 0.004 candidate leaves
+    observations with no grid mass; axis 1 on the grid points, where the
+    same candidate builds.  ``"grid point"``: axis 0 with no observation
+    within 0.1 of the grid points 0.458333 .. 0.541667, so that its 0.1
+    candidate leaves grid points with no observations; axis 1 uniform.
+    """
+    if case == "grid point":
+        data = make_gap_dataset(d=2, n=300)
+        spec = BandwidthSearchSpec(candidates=[0.1, 0.2, 0.25, 0.3, 0.4], h0=[0.2, 0.4])
+        return data, spec, 0.1
     rng = np.random.default_rng(0)
     x = rng.uniform(0.0, 1.0, (300, 2))
     x[:, 1] = np.round(x[:, 1] * 24) / 24
     y = x[:, 0] ** 2 + np.sin(3 * x[:, 1]) + rng.normal(0.0, 0.1, 300)
     spec = BandwidthSearchSpec(candidates=[0.004, 0.1, 0.15, 0.2, 0.3], h0=[0.1, 0.1])
-    return Dataset(x=x, y=y), spec
+    return Dataset(x=x, y=y), spec, 0.004
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("work", [None, 1])
-@pytest.mark.parametrize("smoother", ["ll", "nw"])
-def test_a_failed_axis_build_is_not_tried_again(work, smoother, monkeypatch):
+@pytest.mark.parametrize("smoother,case", [
+    pytest.param("ll", "observation", id="ll"),
+    pytest.param("nw", "observation", id="nw"),
+    pytest.param("ll", "grid point", id="ll-uncovered-grid-point"),
+])
+def test_a_failed_axis_build_is_not_tried_again(work, smoother, case, monkeypatch):
     if work is not None:
         monkeypatch.setattr(_engine, "_PARALLEL_WORK", work)
         monkeypatch.setattr(_engine, "_build_threads", 2)
@@ -220,12 +236,12 @@ def test_a_failed_axis_build_is_not_tried_again(work, smoother, monkeypatch):
             super().__init__(ws, j, h, slopes)
 
     monkeypatch.setattr(_engine, "_AxisStats", Counting)
-    data, spec = _two_covariates_with_a_failing_candidate()
+    data, spec, bad = _two_covariates_with_a_failing_candidate(case)
     sel = select_pls(data, smoother, spec, GRID)
     assert sel.flags == ["1 candidate fits failed"]
     # The scan's fill tries it once; the solve's own fill skips it, and
-    # the solve's lookup raises the kept error.
-    assert built[0, 0.004] == 1 and built[1, 0.004] == 1
+    # the solve's lookup raises the kept error.  No axis is built twice.
+    assert built[0, bad] == 1 and set(built.values()) == {1}
 
 
 def _select_in_child(data, spec):

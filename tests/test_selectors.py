@@ -21,9 +21,10 @@ from smoothfit import (
     theoretical_hstar,
 )
 from smoothfit._engine import Workspace
+from smoothfit.errors import EmptyNeighborhoodError
 from smoothfit.simulate import SimConfig, _select_ase1, generate
 
-from conftest import make_additive_dataset
+from conftest import make_additive_dataset, make_gap_dataset
 
 
 class TestBandwidthSearchSpec:
@@ -283,6 +284,16 @@ class TestSelectSingle:
             assert ase1.bandwidths[0] == spec.candidates[int(np.argmin(errors))]
             assert ase1.outer_iterations == 1 and ase1.converged
 
+    @pytest.mark.parametrize("method", ["pls1", "pl1"])
+    def test_grid_point_without_observations_raises(self, grid25, method):
+        # The search starts at h = 0.1, where no observation lies within
+        # h of 0.458333; the marginal fit's error propagates.
+        data = make_gap_dataset()
+        spec = BandwidthSearchSpec(candidates=np.linspace(0.1, 0.4, 25), h0=[0.1])
+        with pytest.raises(EmptyNeighborhoodError) as err:
+            select_single(data, method, spec, grid25)
+        assert (err.value.axis, err.value.where) == (0, grid25.points[11])
+
     def test_unknown_method(self, grid25):
         data = make_additive_dataset(seed=40, n=50, d=1)
         spec = BandwidthSearchSpec.for_sample_size(50, 1)
@@ -341,6 +352,31 @@ class TestOracle:
             oracle_ase_bandwidth(
                 dataset2, lambda x: x[:, 0], "ll", spec, criterion="ase_j"
             )
+
+
+_SELECTORS = {
+    "pls": lambda data, spec, ws: select_pls(data, "ll", spec, workspace=ws),
+    "pl_grid": lambda data, spec, ws: select_pl(data, spec, "full_grid", workspace=ws),
+    "pl_coord": lambda data, spec, ws: select_pl(data, spec, "coordinate", workspace=ws),
+    "pl_star": lambda data, spec, ws: select_pl_star(data, spec, workspace=ws),
+    "pls1": lambda data, spec, ws: select_single(data, "pls1", spec, workspace=ws),
+    "pl1": lambda data, spec, ws: select_single(data, "pl1", spec, workspace=ws),
+    "oracle": lambda data, spec, ws: oracle_ase_bandwidth(
+        data, lambda x: x.sum(axis=1), "ll", spec, workspace=ws
+    ),
+}
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+@pytest.mark.parametrize("name", sorted(_SELECTORS))
+def test_h0_of_the_wrong_length_is_rejected_before_any_fit(grid25, name, extra):
+    d = 1 if name in ("pls1", "pl1") else 2
+    data = make_additive_dataset(seed=44, n=80, d=d)
+    spec = BandwidthSearchSpec.for_sample_size(data.n, d + extra)
+    ws = Workspace(data, grid25, BIWEIGHT)
+    with pytest.raises(ValueError, match=f"h0 holds {d + extra} bandwidths for {d}"):
+        _SELECTORS[name](data, spec, ws)
+    assert not ws._axes and not ws._fits
 
 
 class TestTheoreticalHstar:
