@@ -94,12 +94,13 @@ process pool build serially.  The pairs are built on the calling thread
 interpreter lock) through ``Workspace._pair_blocks``, as the folds read
 them in sorted key order, in which the pairs that share a layout of a
 partner follow each other: a one-entry memo lays each partner out once
-for them.  So the benchmark tracer, which counts lookups at ``axis`` and
-``_pair_blocks``, sees every pair build, and reads only the later
-lookups of axes built on threads as hits.  An axis build that raises a
-SmoothfitError is kept as that error and not tried again, and a
-bandwidth tuple gets pairs and folded blocks if and only if all of its
-axes are built.
+for them.  The axis cache holds the outcome of each axis build: its
+statistics, or the SmoothfitError it raised, which is not tried again.
+So the benchmark tracer, which counts lookups at ``axis`` and
+``_pair_blocks``, sees every pair build and every axis build made on
+the calling thread, and reads the later lookups of an axis, built on a
+thread or failed, as hits.  A bandwidth tuple gets pairs and folded
+blocks if and only if all of its axes are built.
 
 The folded blocks of a pair are the pair block scaled by the quadrature
 weights, with each row multiplied through by its axis's moment inverse
@@ -212,7 +213,7 @@ def _build_serially() -> None:
 
 def _built(build, *args):
     """``build(*args)``, or the SmoothfitError it raised.  The error is
-    kept by a memo of failed builds, so it is stripped of the frames (and
+    kept in the axis cache, so it is stripped of the frames (and
     arrays) of its traceback and context."""
     try:
         return build(*args)
@@ -433,11 +434,11 @@ class Workspace:
         self.kernel = kernel
         self.tau = grid.weights
         self.ybar = float(data.y.mean())
+        # The outcome of each (axis, bandwidth) build: its _AxisStats, or
+        # the SmoothfitError it raised.
         self._axes: dict = {}
         self._pairs: dict = {}
         self._slopes = False
-        # The SmoothfitError of each (axis, bandwidth) whose build raised.
-        self._failed: dict = {}
         # The layout memo of pair builds (see ``_partner``): ((band side's
         # axis, band dense), partner, layout), and the buffer it lays out
         # into; ``prepare`` drops both when it returns.
@@ -469,7 +470,6 @@ class Workspace:
             self._slopes = True
             self._axes.clear()
             self._pairs.clear()
-            self._failed.clear()
             self._folded = {}
             self._layout = self._layout_buf = None
 
@@ -477,22 +477,15 @@ class Workspace:
 
     def axis(self, j: int, h: float) -> _AxisStats:
         """The statistics of axis j at bandwidth h, built on first use.  A
-        build that raised a SmoothfitError is not tried again: every later
-        call raises the same error."""
+        build that raised a SmoothfitError is kept as that error and not
+        tried again: every later call raises it."""
         key = (j, float(h))
         st = self._axes.get(key)
         if st is None:
-            st = self._failed.get(key)
-            if st is None:
-                st = self._keep(key, _built(_AxisStats, self, *key, self._slopes))
-            if isinstance(st, SmoothfitError):
-                raise st.with_traceback(None)
+            st = self._axes[key] = _built(_AxisStats, self, *key, self._slopes)
+        if isinstance(st, SmoothfitError):
+            raise st.with_traceback(None)
         return st
-
-    def _keep(self, key, built):
-        """Enter the result of an axis build, stats or SmoothfitError."""
-        (self._failed if isinstance(built, SmoothfitError) else self._axes)[key] = built
-        return built
 
     def ll_marginal(self, j: int, h: float):
         """(levels, slopes) of the local linear regression of y on axis j.
@@ -541,11 +534,10 @@ class Workspace:
         if d > 1 and all(key in held for blocks in pairs for key in blocks):
             return
         axes = {(j, h[j]) for h in keys for j in range(d)}
-        axes = sorted(axes - self._axes.keys() - self._failed.keys())
+        axes = sorted(axes - self._axes.keys())
         if self.data.n * g >= _PARALLEL_WORK:
             calls = [(self, j, h, self._slopes) for j, h in axes]
-            for key, st in zip(axes, _run_builds(_AxisStats, calls)):
-                self._keep(key, st)
+            self._axes.update(zip(axes, _run_builds(_AxisStats, calls)))
         else:
             for key in axes:
                 _built(self.axis, *key)
@@ -553,7 +545,7 @@ class Workspace:
             return
         need = set()
         for h, blocks in zip(keys, pairs):
-            if all((j, h[j]) in self._axes for j in range(d)):
+            if all(isinstance(self._axes[j, h[j]], _AxisStats) for j in range(d)):
                 need.update(blocks)
         missing = sorted(need - held.keys())
         if not missing:

@@ -379,6 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel.set_defaults(func=cmd_select)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo study")
+    _add_common(p_sim, with_input=False)
     p_sim.add_argument("--model", required=True, choices=["m1", "m2"])
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--rho", type=float, default=0.0)
@@ -387,15 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--selectors", default=None,
                        help="comma list, e.g. ase,pls,pl,pl_star")
-    p_sim.add_argument("--smoother", choices=["nw", "ll"], default="ll")
-    p_sim.add_argument("--kernel", default="biweight",
-                       choices=["biweight", "epanechnikov"])
     p_sim.add_argument("--pilot-factor", type=float, default=1.5)
     p_sim.add_argument("--cov-var", type=float, default=0.5,
                        help="variance of the untruncated covariate normals")
-    p_sim.add_argument("--grid", type=int, default=25)
     p_sim.add_argument("--workers", type=int, default=1)
-    p_sim.add_argument("--out", default="-")
     p_sim.add_argument("--csv-prefix", default=None,
                        help="also write <prefix>_quantiles.csv and "
                             "<prefix>_logdiffs.csv")

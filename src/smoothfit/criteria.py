@@ -5,6 +5,10 @@ the number of retained observations).  Trimming, when active, excludes
 observations near the boundary of the unit cube; it is used with the
 locally constant smoother, whose boundary bias would otherwise distort
 the comparison of residual sums across bandwidths.
+
+Each formula lives here once, the weighted mean square, the error
+expansion and its per-axis optimum included; the selectors call them
+and only search.
 """
 
 from __future__ import annotations
@@ -95,10 +99,16 @@ def _criterion_weights(weights, trim, x: np.ndarray) -> np.ndarray:
     return w
 
 
+def _mean_square(values, weights, n: int) -> float:
+    """``sum(weights * values**2) / n``; ``weights=None`` is unweighted."""
+    if weights is None:
+        return float(values @ values) / n
+    return float(weights @ (values * values)) / n
+
+
 def _mean_weighted_square(data, errors, weights, trim):
     w = _criterion_weights(weights, trim, data.x)
-    value = float(np.sum(w * errors * errors) / data.n)
-    return CriterionValue(value=value, n_used=int(np.count_nonzero(w)))
+    return CriterionValue(_mean_square(errors, w, data.n), int(np.count_nonzero(w)))
 
 
 def rss(data: Dataset, fit, weights=None, trim: TrimSpec | None = None) -> CriterionValue:
@@ -153,11 +163,7 @@ def ase_j(data: Dataset, fit, j: int, true_mj_centered, weights_j=None) -> Crite
     fitted = np.interp(xj, fit.grid.points, fit.components[j])
     truth = np.asarray(true_mj_centered(xj), dtype=float)
     w = _weights_vector(weights_j, xj)
-    err = fitted - truth
-    return CriterionValue(
-        value=float(np.sum(w * err * err) / data.n),
-        n_used=int(np.count_nonzero(w)),
-    )
+    return CriterionValue(_mean_square(fitted - truth, w, data.n), int(np.count_nonzero(w)))
 
 
 def aase_hat(
@@ -182,7 +188,36 @@ def aase_hat(
         raise ValueError(f"curvature matrix must be (n, d) = {(data.n, h.size)}")
     w = _weights_vector(weights, data.x)
     rssv = rss_value.value if isinstance(rss_value, CriterionValue) else float(rss_value)
-    variance = rssv * kernel.r_k * float(np.sum(1.0 / (data.n * h)))
-    combined = c @ (h * h)
-    bias = float(np.sum(w * combined * combined)) * kernel.mu2**2 / (4.0 * data.n)
-    return CriterionValue(value=variance + bias, n_used=int(np.count_nonzero(w)))
+    value = _expansion(rssv, (c * w[:, None]).T @ c / data.n, h, data.n, kernel)
+    return CriterionValue(value=float(value), n_used=int(np.count_nonzero(w)))
+
+
+def _expansion(rss, q, h, n: int, kernel: KernelSpec):
+    """The error expansion ``sum_j rss r_k / (n h_j) + mu2^2 / 4 sum_jk
+    q_jk h_j^2 h_k^2`` of ``aase_hat``, with ``q = (C w)' C / n`` the
+    weighted mean products of the curvature columns.
+
+    Each ``h[j]`` is a scalar or an array, and they broadcast together,
+    so one call scores a product grid of candidates or one axis's
+    candidates with the other axes fixed.
+    """
+    val = 0.0
+    for hj in h:
+        val = val + rss * kernel.r_k / (n * hj)
+    sq = [hj * hj for hj in h]
+    bias = 0.0
+    for j, sj in enumerate(sq):
+        for k, sk in enumerate(sq):
+            bias = bias + q[j, k] * sj * sk
+    return val + 0.25 * kernel.mu2**2 * bias
+
+
+def _optimal_bandwidth(n: int, rss: float, q_jj: float, kernel: KernelSpec) -> float:
+    """The minimizer of one axis's own terms of the expansion, ``rss r_k /
+    (n h) + mu2^2 q_jj h^4 / 4``: ``n**(-1/5) (rss r_k)**(1/5) (q_jj
+    mu2^2)**(-1/5)``, or ``inf`` where ``q_jj mu2^2`` is not positive (no
+    bias to balance)."""
+    denom = q_jj * kernel.mu2**2
+    if denom <= 0.0:
+        return float(np.inf)
+    return float(n) ** (-0.2) * (rss * kernel.r_k) ** 0.2 * denom ** (-0.2)

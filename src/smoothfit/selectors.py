@@ -39,6 +39,8 @@ near-perfect fit), the candidate is scored by the direct sum at the
 data instead, so kept scores are exact to the bound stated there and
 noiseless fits score zero to rounding, never less.  The plug-in
 selectors compute their one residual per outer iteration directly.
+Every criterion formula, down to the weighted mean square, comes from
+``criteria``; this module only searches.
 """
 
 from __future__ import annotations
@@ -48,7 +50,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _engine
-from .criteria import TrimSpec, _criterion_weights, _weights_vector, aase_hat, pls
+from .criteria import (
+    TrimSpec,
+    _criterion_weights,
+    _expansion,
+    _mean_square,
+    _optimal_bandwidth,
+    _weights_vector,
+    pls,
+)
 from .curvature import pilot_bandwidth, second_derivative
 from .data import Dataset, Grid
 from .errors import SelectorFailureError, SmoothfitError
@@ -199,7 +209,7 @@ class _FitCache:
     run on one workspace reads what any of them solved, as the selectors
     of a simulation replicate do: the first solve of a key wins, whatever
     it was warm-started from.  A run counts each failed key once in
-    ``failures``.  The public backfits never read the store and always
+    ``failed``.  The public backfits never read the store and always
     start cold.
 
     A key that is not stored is warm-started from this run's last fit.
@@ -220,10 +230,6 @@ class _FitCache:
         self.failed = set()
         # This run's last two fits as (key, solution), the newest last.
         self.recent = []
-
-    @property
-    def failures(self) -> int:
-        return len(self.failed)
 
     def prepare(self, keys):
         """Build the caches that fits at ``keys`` will read, in parallel
@@ -292,28 +298,26 @@ class _MarginalFit:
 
     Returns the uncentred marginal local linear fit, read from the
     workspace with no solve, and intercept zero; with one covariate,
-    smooth backfitting is this fit centred.  Its errors propagate instead
-    of being counted.
+    smooth backfitting is this fit centred.  A key whose fit raises a
+    SmoothfitError is a failed candidate: ``fit`` returns None and the
+    run counts the key once in ``failed``, as ``_FitCache`` does.
     """
 
     intercept = 0.0
-    failures = 0
 
     def __init__(self, ws):
         self.ws = ws
+        self.failed = set()
 
     def prepare(self, keys):
         self.ws.prepare(keys, "ll")
 
     def fit(self, key):
-        return self.ws.ll_marginal(0, key[0])[0][None]
-
-
-def _mean_square(values, weights, n: int) -> float:
-    """``sum(weights * values**2) / n``; ``weights=None`` is unweighted."""
-    if weights is None:
-        return float(values @ values) / n
-    return float(weights @ (values * values)) / n
+        try:
+            return self.ws.ll_marginal(0, key[0])[0][None]
+        except SmoothfitError:
+            self.failed.add(key)
+            return None
 
 
 # ``_GridScorer`` recomputes a score at the data where it falls below
@@ -478,8 +482,8 @@ def _outer_loop(fits, update, spec: BandwidthSearchSpec, method: str, once=False
         if _relative_change(h, prev) < spec.outer_tol:
             converged = True
             break
-    if fits.failures:
-        flags.append(f"{fits.failures} candidate fits failed")
+    if fits.failed:
+        flags.append(f"{len(fits.failed)} candidate fits failed")
     return SelectionResult(
         bandwidths=h,
         method=method,
@@ -643,46 +647,34 @@ def select_pl(
     if mode == "full_grid" and cands.size**d > 10_000_000:
         raise ValueError("product grid too large; use mode='coordinate'")
     mw = _criterion_weights(weights, None, data.x)
-    mu2sq = kernel.mu2**2
 
-    def full_grid(prev, rss_val, curv, flags):
-        q = (curv * mw[:, None]).T @ curv / n
-        shape = (cands.size,) * d
-        # cands and their squares laid along axis j of the product grid
+    def full_grid(prev, rss_val, q):
+        # The candidates laid along axis j of the product grid.
         along = [[cands.size if k == j else 1 for k in range(d)] for j in range(d)]
-        val = np.zeros(shape)
-        for j in range(d):
-            val += rss_val * kernel.r_k / (n * cands.reshape(along[j]))
-        bias = np.zeros(shape)
-        sq = cands * cands
-        for j in range(d):
-            for k in range(d):
-                bias = bias + q[j, k] * sq.reshape(along[j]) * sq.reshape(along[k])
-        val += 0.25 * mu2sq * bias
-        idx = np.unravel_index(int(np.argmin(val)), shape)
+        val = _expansion(rss_val, q, [cands.reshape(a) for a in along], n, kernel)
+        idx = np.unravel_index(int(np.argmin(val)), val.shape)
         return np.array([cands[i] for i in idx]), float(val[idx])
 
-    def coordinate(prev, rss_val, curv, flags):
-        # Every axis is updated from the previous iterate: the frozen
-        # parts of the objective use prev, not freshly updated axes.
+    def coordinate(prev, rss_val, q):
+        # Every axis is updated from the previous iterate: the other axes
+        # keep their entries of prev, not freshly updated ones.
         h = prev.copy()
-        inv_prev = float(np.sum(1.0 / (n * prev)))
-        weighted_curv = prev * prev * curv
         for j in range(d):
-            rest = weighted_curv.sum(axis=1) - weighted_curv[:, j]
-            others = inv_prev - 1.0 / (n * prev[j])
-            combined = cands[:, None] ** 2 * curv[None, :, j] + rest[None, :]
-            vals = rss_val * kernel.r_k * (1.0 / (n * cands) + others)
-            vals += 0.25 * mu2sq * (combined * combined) @ mw / n
-            h[j] = cands[int(np.argmin(vals))]
+            trial = list(prev)
+            trial[j] = cands
+            h[j] = cands[int(np.argmin(_expansion(rss_val, q, trial, n, kernel)))]
         # Record this iteration's objective at the chosen point.
-        return h, aase_hat(data, rss_val, curv, h, kernel, weights).value
+        return h, float(_expansion(rss_val, q, h, n, kernel))
+
+    if mode == "full_grid":
+        search, method = full_grid, "pl_grid"
+    else:
+        search, method = coordinate, "pl_coord"
+
+    def step(prev, rss_val, curv, flags):
+        return search(prev, rss_val, (curv * mw[:, None]).T @ curv / n)
 
     fits = _FitCache(ws, "ll", fit_tol, max_sweeps)
-    if mode == "full_grid":
-        step, method = full_grid, "pl_grid"
-    else:
-        step, method = coordinate, "pl_coord"
     return _plug_in(data, fits, step, spec, method, mw, kernel, pilot_factor, pilot_rule)
 
 
@@ -692,8 +684,6 @@ def select_pl(
 
 def _pl_star_step(data, spec, kernel, weights_j):
     """The closed-form update of ``select_pl_star`` as a plug-in step."""
-    n = data.n
-    rate = float(n) ** (-0.2)
     wjs = [
         _weights_vector(None if weights_j is None else weights_j[j], data.x[:, j])
         for j in range(data.d)
@@ -702,12 +692,12 @@ def _pl_star_step(data, spec, kernel, weights_j):
     def step(prev, rss_val, curv, flags):
         h = prev.copy()
         for j, wj in enumerate(wjs):
-            denom = _mean_square(curv[:, j], wj, n) * kernel.mu2**2
-            if denom <= 0.0:
+            q_jj = _mean_square(curv[:, j], wj, data.n)
+            raw = _optimal_bandwidth(data.n, rss_val, q_jj, kernel)
+            if raw == np.inf:
                 h[j] = spec.b_hi
                 flags.append(f"axis {j}: zero curvature, clamped to box top")
                 continue
-            raw = rate * (rss_val * kernel.r_k) ** 0.2 * denom ** (-0.2)
             clamped = float(np.clip(raw, spec.b_lo, spec.b_hi))
             if clamped != raw:
                 flags.append(f"axis {j}: update {raw:.4g} clamped into box")
@@ -856,8 +846,5 @@ def theoretical_hstar(
     p = np.asarray(density_fn(t), dtype=float)
     sig = np.asarray(noise_var_fn(t), dtype=float)
     curv = np.asarray(curvature_fn(t), dtype=float)
-    varint = float(wq @ (w * p * sig)) * kernel.r_k
-    biasint = float(wq @ (curv * curv * w * p)) * kernel.mu2**2
-    if biasint <= 0.0:
-        return float(np.inf)
-    return float(n) ** (-0.2) * varint**0.2 * biasint ** (-0.2)
+    varint = float(wq @ (w * p * sig))
+    return float(_optimal_bandwidth(n, varint, float(wq @ (curv * curv * w * p)), kernel))

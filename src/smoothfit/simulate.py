@@ -23,7 +23,7 @@ import numpy as np
 from . import _engine
 from .backfit_ll import backfit_ll
 from .backfit_nw import backfit_nw
-from .criteria import ase, ase_j
+from .criteria import _mean_square, ase, ase_j
 from .curvature import pilot_bandwidth
 from .data import Dataset, Grid
 from .errors import SamplerDegenerateError, SmoothfitError
@@ -289,7 +289,7 @@ def _marginal_ase1(data, truth, h, ws):
     """Noncentered component error of the plain local linear fit."""
     curve = ws.ll_marginal(0, h)[0]
     err = ws.component_at_data(0, curve) - truth.components[0](data.x[:, 0])
-    return float(err @ err) / data.n
+    return _mean_square(err, None, data.n)
 
 
 def _run_replicate(config: SimConfig, replicate: int) -> dict:

@@ -15,6 +15,8 @@ import pytest
 
 from smoothfit import Grid, SimConfig, _engine, cli, generate, selectors, simulate
 
+from conftest import make_gap_dataset
+
 SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
 
 
@@ -92,3 +94,31 @@ def test_traced_threaded_fills_record_their_pair_builds(spans, monkeypatch):
     # tracer sees the same builds and hits.
     assert threaded[0] > 0
     assert threaded == serial
+
+
+def test_traced_failed_axis_build_is_one_build(spans, monkeypatch):
+    # Axis 0 at h = 0.1 leaves grid points with no observation within h,
+    # so that build fails; its later lookups raise the kept error and read
+    # as hits, like those of a built axis.
+    data = make_gap_dataset(d=2, n=300)
+    spec = selectors.BandwidthSearchSpec(
+        candidates=[0.1, 0.2, 0.25, 0.3, 0.4], h0=[0.2, 0.3]
+    )
+    built = []
+
+    class Counting(_engine._AxisStats):
+        __slots__ = ()
+
+        def __init__(self, ws, j, h, slopes):
+            built.append((j, h))
+            super().__init__(ws, j, h, slopes)
+
+    monkeypatch.setattr(_engine, "_AxisStats", Counting)
+    tracer = spans.Tracer()
+    with spans.traced(tracer):
+        sel = simulate.select_pls(data, "nw", spec, Grid.regular(25))
+    assert sel.flags == ["1 candidate fits failed"]
+    assert (0, 0.1) in built and len(set(built)) == len(built)
+    builds = [span for span in tracer.spans if span[0] == "axis.build"]
+    assert len(builds) == len(built)
+    assert sum("error" in span[4] for span in builds) == 1

@@ -21,7 +21,7 @@ from smoothfit import (
     theoretical_hstar,
 )
 from smoothfit._engine import Workspace
-from smoothfit.errors import EmptyNeighborhoodError
+from smoothfit.errors import SelectorFailureError
 from smoothfit.simulate import SimConfig, _select_ase1, generate
 
 from conftest import make_additive_dataset, make_gap_dataset
@@ -286,13 +286,22 @@ class TestSelectSingle:
 
     @pytest.mark.parametrize("method", ["pls1", "pl1"])
     def test_grid_point_without_observations_raises(self, grid25, method):
-        # The search starts at h = 0.1, where no observation lies within
-        # h of 0.458333; the marginal fit's error propagates.
+        # Below h = 0.15 the grid point 0.5 has no observation within h,
+        # so every candidate's marginal fit fails: pls1 has no candidate
+        # left, and pl1 cannot fit at its start.
         data = make_gap_dataset()
-        spec = BandwidthSearchSpec(candidates=np.linspace(0.1, 0.4, 25), h0=[0.1])
-        with pytest.raises(EmptyNeighborhoodError) as err:
+        spec = BandwidthSearchSpec(candidates=np.linspace(0.1, 0.14, 5), h0=[0.1])
+        with pytest.raises(SelectorFailureError):
             select_single(data, method, spec, grid25)
-        assert (err.value.axis, err.value.where) == (0, grid25.points[11])
+
+    def test_failed_candidate_is_skipped_and_flagged(self, grid25):
+        # h = 0.1 fails as above; pls1 goes on to the valid candidates, as
+        # select_pls does with more covariates.
+        data = make_gap_dataset()
+        spec = BandwidthSearchSpec(candidates=[0.1, 0.2, 0.25, 0.3, 0.4], h0=[0.1])
+        sel = select_single(data, "pls1", spec, grid25)
+        assert sel.bandwidths[0] >= 0.2
+        assert sel.flags == ["1 candidate fits failed"]
 
     def test_unknown_method(self, grid25):
         data = make_additive_dataset(seed=40, n=50, d=1)
