@@ -8,15 +8,25 @@ warm starts) dominate the running time.
 Layout.  A workspace starts level-only, which is all the Nadaraya-Watson
 smoother reads.  Per (axis, bandwidth), ``_AxisStats`` keeps the
 grid-normalized kernel weights ``w``, the marginal density ``p`` and the
-kernel-weighted response sums; its slope weights ``b`` are empty.  The
-first local linear request (``Workspace.prepare`` with "ll", which
-``ll_solve`` calls, or ``Workspace.ll_marginal``) switches the workspace
-to (level, slope) statistics for good, before it fetches any axis.  The
-switch drops every cached axis and pair, and from then on each axis also
-keeps the offset-weighted weights ``b = w * (X - u)``, the ridged moment
-inverse ``inv`` and the marginal local linear fit ``ll``.  No entry is
-ever upgraded in place; a level-only axis holds None for the local
-linear statistics.
+kernel-weighted response sums.  The first local linear request
+(``Workspace.prepare`` with "ll", which ``ll_solve`` calls, or
+``Workspace.ll_marginal``) switches the workspace to (level, slope)
+statistics for good, before it fetches any axis.  The switch drops every
+cached axis and pair, and from then on each axis also keeps the slope
+sums, the ridged moment inverse ``inv`` and the marginal local linear
+fit ``ll``; ``inv is not None`` marks such an entry.  No entry is ever
+upgraded in place; a level-only axis holds None for the local linear
+statistics.
+
+No entry keeps the slope weights ``b = w * (X - u)``: they are one
+subtraction and one product away from ``w`` and the covariate, which an
+entry references (the workspace holds each covariate once in sorted
+order, beside the input).  The build forms them in a temporary for its
+sums, and the pair products form them again where they read them: into
+a scratch per run of the band side (``_pair_product``) and into the
+partner's layout (``_lay_out``), operand for operand the build's
+arithmetic, so every value is bitwise the one a stored copy would hold.
+Each entry's ``b`` is an empty (0, n) array.
 
 An axis is built complete or not at all.  Its build fails with
 EmptyNeighborhoodError where an observation has no grid mass or a grid
@@ -27,16 +37,16 @@ ridge.  So a built axis has every factor that a solve divides by.
 The weights are banded.  Kernels vanish outside [-1, 1] (the contract of
 ``KernelSpec``), so an observation's weights are nonzero only at the grid
 points within h of it.  The workspace sorts each axis once; per (axis,
-bandwidth), ``w`` and ``b`` hold, in that order, the ``width`` <= G
-weights of each observation from its first grid point on.  Observations
-with the same first grid point form contiguous runs, and the statistics
-are sums over the runs.  Where the runs would be short on average
+bandwidth), ``w`` holds, in that order, the ``width`` <= G weights of
+each observation from its first grid point on.  Observations with the
+same first grid point form contiguous runs, and the statistics are sums
+over the runs.  Where the runs would be short on average
 (n < ``_BAND_RUN`` * (G - width + 1)), or the support spans the grid, the
 band is the whole grid in input order as one run: dense weights, as at
 n = 200.  At large n, then, no (G, n) array outlives the call that needs
 it.  On an n = 20000 local linear ``pls`` selection the kept weights take
-about a third of the dense ones, and ``smoothfit select`` peaks at about
-250 MB instead of 650 MB.
+83 MiB, a seventh of the dense level and slope weights, and ``smoothfit
+select`` peaks at about 160 MB instead of 650 MB.
 
 Per ordered axis pair (a, b), a < b, the pair cache holds the sample
 average of outer products of the weights, G x G level-only and the
@@ -118,9 +128,11 @@ Not part of the public API.
 
 from __future__ import annotations
 
+import ctypes
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 
@@ -205,10 +217,24 @@ _build_threads = _available_cpus()
 
 
 def _build_serially() -> None:
-    """Process initializer: this process builds its caches on one thread,
-    so that a pool of study processes does not also start threads."""
+    """Process initializer: this process builds its caches, and runs its
+    BLAS calls, on one thread, so that a pool of study processes does not
+    also start threads.
+
+    The BLAS threads are set through the thread setter that numpy's
+    bundled OpenBLAS exports; with any other BLAS this sets only the
+    build threads.
+    """
     global _build_threads
     _build_threads = 1
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in libs.glob("libscipy_openblas*.so*"):
+        try:
+            setter = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
 
 
 def _built(build, *args):
@@ -258,24 +284,24 @@ class _AxisStats:
     Columns run over the observations in ``order`` (the axis's sort
     order; None for input order), and ``runs`` lists each run of
     observations with the same first grid index as ``(first, start,
-    stop)``: the ``width`` rows of columns ``start:stop`` hold their
-    weights at grid points ``first .. first + width - 1``.  ``wb`` holds
-    the weights the pair products read: the grid-normalized kernel
-    weights ``w`` over, when built with slopes, the offset-weighted
-    weights ``b = w * (X - u)``; without slopes ``b`` is an empty (0, n)
-    array and the slope statistics are None.  A dense axis has width G,
-    input order and one run.
+    stop)``: the ``width`` rows of columns ``start:stop`` of ``w``, the
+    grid-normalized kernel weights, hold their weights at grid points
+    ``first .. first + width - 1``.  ``x`` is the covariate in the same
+    order, a view of the workspace's.
+    A dense axis has width G, input order and one run.
 
     The build fails, with nothing kept, unless every grid point has a
     positive density ``p`` and, with slopes, a moment matrix that the
     ridge makes invertible; see ``_ridged_inverse``.  With slopes it
     also keeps the inverse entries ``inv = (i11, i12, i22)`` and the
     marginal local linear fit ``ll = (levels, slopes)``, arrays that
-    callers must not modify.
+    callers must not modify; without, these and the slope sums are None.
+    The slope weights ``w * (X - u)`` are not kept (``_slope_rows`` forms
+    them), and ``b`` is an empty (0, n) array.
     """
 
     __slots__ = (
-        "wb", "w", "b", "width", "runs", "order", "rank",
+        "w", "b", "x", "width", "runs", "order", "rank",
         "p", "p1", "m11", "a0", "a1", "inv", "ll", "_rows",
     )
 
@@ -287,8 +313,7 @@ class _AxisStats:
         self.width = g
         # A band narrower than the grid has at least two runs.
         if n >= 2 * _BAND_RUN:
-            order = ws._order[j]
-            xs = x[order]
+            xs = ws._sorted[j]
             # Grid points within h of each observation, with a slack far
             # above rounding, hold its kernel support; ``width`` is the
             # widest count.  (Sorted queries make the searches faster.)
@@ -296,17 +321,19 @@ class _AxisStats:
             lo = np.searchsorted(points, xs - reach)
             width = int((np.searchsorted(points, xs + reach, side="right") - lo).max())
             if 0 < width < g and n >= _BAND_RUN * (g - width + 1):
-                self.order, self.rank, self.width = order, ws._rank[j], width
-                x, y = xs, y[order]
+                self.order, self.rank, self.width = ws._order[j], ws._rank[j], width
+                x, y = xs, y[self.order]
                 first = np.minimum(lo, g - width)
                 cut = (np.flatnonzero(np.diff(first)) + 1).tolist()
                 self.runs = list(zip(first[[0, *cut]].tolist(), [0, *cut], [*cut, n]))
-        width = self.width
-        self.wb = np.empty((2 * width if slopes else width, n))
-        self.w, self.b = self.wb[:width], self.wb[width:]
+        self.x = x
+        # Allocated ahead of the build's temporaries, so that freeing them
+        # leaves no hole below the kept weights: with the temporaries
+        # first, an n = 20000 selection peaked about 20 MB higher.
+        self.w, self.b = np.empty((self.width, n)), np.empty((0, n))
         try:
             _, offset = _band_weights(
-                ws.kernel, h, ws.grid, x, width, self.runs, self.rank, out=self.w
+                ws.kernel, h, ws.grid, x, self.width, self.runs, self.rank, out=self.w
             )
         except EmptyNeighborhoodError as err:
             raise EmptyNeighborhoodError(j, err.where, f"bandwidth {h:g}") from None
@@ -318,10 +345,12 @@ class _AxisStats:
         self.a0 = self._total(g, self.w, y)
         self.p1 = self.m11 = self.a1 = self.inv = self.ll = self._rows = None
         if slopes:
-            np.multiply(self.w, offset, out=self.b)
-            self.p1 = self._total(g, self.b)
-            self.m11 = self._total(g, np.multiply(self.b, offset, out=offset))
-            self.a1 = self._total(g, self.b, y)
+            # The slope weights w * (X - u), only for these sums: the pair
+            # products form them again per run (``_slope_rows``).
+            b = np.multiply(self.w, offset)
+            self.p1 = self._total(g, b)
+            self.m11 = self._total(g, np.multiply(b, offset, out=offset))
+            self.a1 = self._total(g, b, y)
             self.inv = i11, i12, i22 = _ridged_inverse(
                 self.p, self.p1, self.m11, j, ws.grid.points
             )
@@ -363,34 +392,57 @@ def _band_side(sa: _AxisStats, sb: _AxisStats) -> bool:
     return sb.width > sa.width
 
 
-def _lay_out(st: _AxisStats, order, g: int, buf: np.ndarray) -> np.ndarray:
+def _slope_rows(st: _AxisStats, points: np.ndarray, run, out: np.ndarray) -> np.ndarray:
+    """The slope weights ``w * (X - u)`` of ``st`` on one run ``(first,
+    start, stop)``, written into ``out`` of shape (width, stop - start):
+    operand for operand the subtraction and product of the build."""
+    first, start, stop = run
+    np.subtract(st.x[start:stop], points[first : first + st.width, None], out=out)
+    return np.multiply(st.w[:, start:stop], out, out=out)
+
+
+def _lay_out(st: _AxisStats, order, points: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """The weights of ``st`` as one dense array, level rows over slope
     rows ((G, n) or (2G, n)), with columns in ``order``, the band side's
     (None for input order).
 
-    A dense axis in input order is returned as it is (``wb``).  Otherwise
-    the weights are written into ``buf``, of G more rows than that for
-    scratch.
+    Level-only, a dense axis in input order is returned as it is (``w``).
+    Otherwise the weights are written into ``buf``, of G more rows than
+    that for scratch; the slope rows are formed there from ``w`` and the
+    covariate (``_slope_rows``).
     """
-    if order is None and st.order is None:
-        return st.wb
-    halves = (st.w, st.b) if st.b.size else (st.w,)
-    rows = len(halves) * g
+    slopes = st.inv is not None
+    if order is None and st.order is None and not slopes:
+        return st.w
+    g = len(points)
+    rows = (2 if slopes else 1) * g
     if st.order is None:
         pos = order
     else:
         pos = st.rank if order is None else st.rank[order]
     scratch = buf[rows : rows + g]
-    for i, half in enumerate(halves):
-        if st.order is not None:
-            # Dense in the axis's own order, by runs, then one gather.
-            scratch.fill(0.0)
-            for first, start, stop in st.runs:
-                scratch[first : first + st.width, start:stop] = half[:, start:stop]
-            half = scratch
-        # Every index is in range; 'clip' skips the bounds pass and the
-        # copy through a temporary that 'raise' makes for ``out``.
-        np.take(half, pos, axis=1, out=buf[i * g : (i + 1) * g], mode="clip")
+    for i in range(rows // g):
+        half = buf[i * g : (i + 1) * g]
+        if i == 0 and st.order is None:
+            dense = st.w
+        else:
+            # Dense in the axis's own order, by runs (gathered below).
+            dense = half if pos is None else scratch
+            if st.order is not None:
+                dense.fill(0.0)
+            for run in st.runs:
+                first, start, stop = run
+                part = dense[first : first + st.width, start:stop]
+                if i == 0:
+                    part[...] = st.w[:, start:stop]
+                else:
+                    _slope_rows(st, points, run, part)
+        if pos is not None:
+            # Every index is in range; 'clip' skips the bounds pass and the
+            # copy through a temporary that 'raise' makes for ``out``.
+            np.take(dense, pos, axis=1, out=half, mode="clip")
+        elif dense is not half:
+            half[...] = dense
     return buf[:rows]
 
 
@@ -401,22 +453,27 @@ def _pair_product(ws: "Workspace", band: _AxisStats, layout: np.ndarray, flip: b
 
     Per run of ``band``, the pair's band side (b where ``flip``, else a),
     small products against the other axis laid out densely in the band
-    side's order (``layout``, from ``_lay_out``).  The level block is a
-    product of its own, so it holds the same numbers whether or not slopes
-    were built.  A dense band side is one run over the whole grid, written
-    in place.
+    side's order (``layout``, from ``_lay_out``).  The band side's slope
+    rows of each run are formed into one reused scratch just before its
+    products (``_slope_rows``).  The level block is a product of its own,
+    so it holds the same numbers whether or not slopes were built.  A
+    dense band side is one run over the whole grid, written in place.
     """
     g, k = ws.grid.size, band.width
-    slopes = band.b.size > 0
+    slopes = band.inv is not None
     out = np.zeros((len(layout), len(layout)))
-    prod = out if k == g else np.empty((len(band.wb), len(layout)))
-    for first, start, stop in band.runs:
+    prod = out if k == g else np.empty(((2 if slopes else 1) * k, len(layout)))
+    if slopes:
+        scratch = np.empty((k, max(stop - start for _, start, stop in band.runs)))
+    for run in band.runs:
+        first, start, stop = run
         lay = layout[:, start:stop].T
         w = band.w[:, start:stop]
         np.matmul(w, lay[:, :g], out=prod[:k, :g])
         if slopes:
             np.matmul(w, lay[:, g:], out=prod[:k, g:])
-            np.matmul(band.b[:, start:stop], lay, out=prod[k:])
+            b = _slope_rows(band, ws.grid.points, run, scratch[:, : stop - start])
+            np.matmul(b, lay, out=prod[k:])
         if prod is not out:
             out[first : first + k] += prod[:k]
             if slopes:
@@ -450,10 +507,12 @@ class Workspace:
         # The folded coupling blocks of the latest ``prepare`` that needed
         # one: (smoother, a, b, ha, hb) -> (rows on a, rows on b).
         self._folded: dict = {}
-        # Each axis's sort order and its inverse, for banded axes.
+        # Each axis's sort order, its inverse and its covariate in that
+        # order, for banded axes.
         self._order = np.argsort(data.x, axis=0, kind="stable").T
         self._rank = np.empty_like(self._order)
         np.put_along_axis(self._rank, self._order, np.arange(data.n), axis=1)
+        self._sorted = np.take_along_axis(data.x.T, self._order, axis=1)
         pos = data.x * (grid.size - 1)
         idx = np.clip(pos.astype(int), 0, grid.size - 2)
         self._idx = idx
@@ -614,7 +673,7 @@ class Workspace:
             if self._layout_buf is None:
                 rows = (3 if self._slopes else 2) * g
                 self._layout_buf = np.empty((rows, self.data.n))
-            layout = _lay_out(other, band.order, g, self._layout_buf)
+            layout = _lay_out(other, band.order, self.grid.points, self._layout_buf)
             memo = self._layout = (shared, other, layout)
         return memo[2]
 

@@ -500,7 +500,9 @@ def _grid_search(fits, criterion, spec: BandwidthSearchSpec, method: str, once=F
 
     Coordinate descent: per-axis scans with immediate updates, repeated
     until the bandwidths settle.  With ``once``, a single scan of the
-    single axis, which is already exhaustive.
+    single axis, which is already exhaustive.  An axis whose bandwidth
+    ends on the first or last candidate is flagged: the minimum may lie
+    outside the search box.
     """
     memo = {}
 
@@ -525,7 +527,12 @@ def _grid_search(fits, criterion, spec: BandwidthSearchSpec, method: str, once=F
             crit = _scan(evaluate, spec.candidates, h, j)
         return h, crit
 
-    return _outer_loop(fits, update, spec, method, once=once)
+    sel = _outer_loop(fits, update, spec, method, once=once)
+    for j, h in enumerate(sel.bandwidths):
+        for end, edge in (("lower", spec.b_lo), ("upper", spec.b_hi)):
+            if h == edge:
+                sel.flags.append(f"axis {j}: at the {end} end of the search box")
+    return sel
 
 
 def _plug_in(data, fits, step, spec, method, mw, kernel, pilot_factor, pilot_rule):

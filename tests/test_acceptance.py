@@ -59,11 +59,13 @@ def study_m1_200_r05():
 
 @pytest.fixture(scope="session")
 def study_m1_500_r0():
-    # Serial: at n=500 the BLAS products are large enough for BLAS to
-    # start threads of its own in each pool process, and two processes
-    # of two threads on two cores ran this study several times slower.
+    # Pooled, this study is fast only because the pool initializer
+    # (``_engine._build_serially``) sets numpy's bundled OpenBLAS to one
+    # thread per process; with a BLAS it cannot set, two processes of two
+    # BLAS threads each ran it several times slower than serially.
     return run_study(SimConfig(model="m1", n=500, rho=0.0,
-                               replicates=STUDY_REPS, seed=STUDY_SEED))
+                               replicates=STUDY_REPS, seed=STUDY_SEED,
+                               workers=2))
 
 
 @pytest.fixture(scope="session")

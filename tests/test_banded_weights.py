@@ -101,7 +101,7 @@ def _check_band(data, h, kernel, grid):
         assert band_err.value.where == grid.points[uncovered[0]]
         return
     ax = ws.axis(0, h)
-    assert ax.width <= g and ax.w.shape == ax.b.shape == (ax.width, n)
+    assert ax.width <= g and ax.w.shape == (ax.width, n) and ax.b.shape == (0, n)
     assert (ax.order is None) == (ax.width == g)
     dense, inside = _scattered(ax, g)
     assert not np.any(w[~inside])
@@ -217,6 +217,97 @@ def test_a_large_local_linear_selection_keeps_banded_weights_only():
     g, n = GRID.size, data.n
     assert ws._axes
     for st in ws._axes.values():
-        assert st.w.size < g * n and st.b.size < g * n
-    kept = sum(st.w.nbytes + st.b.nbytes for st in ws._axes.values())
-    assert kept <= len(ws._axes) * 2 * g * n * 8 / 2
+        assert st.inv is not None and st.w.size < g * n and st.b.size == 0
+    kept = sum(st.w.nbytes for st in ws._axes.values())
+    assert kept <= len(ws._axes) * g * n * 8 / 2
+
+
+# The slope weights an entry does not keep, and the pair product and
+# layout over them stored, as references for the ones formed on demand.
+
+
+def _stored_slopes(st, points):
+    """``w`` over ``b = w * (X - u)`` per run, in the entry's order."""
+    b = np.empty_like(st.w)
+    for first, start, stop in st.runs:
+        b[:, start:stop] = st.w[:, start:stop] * (
+            st.x[start:stop] - points[first : first + st.width, None]
+        )
+    return np.vstack([st.w, b])
+
+
+def _stored_layout(st, wb, order, g):
+    k, n = st.width, wb.shape[1]
+    pos = order if st.order is None else st.rank if order is None else st.rank[order]
+    # Row-major, as the engine's layout buffer: the products' BLAS calls
+    # depend on the memory order.
+    out = np.empty((2 * g, n))
+    for i, half in enumerate((wb[:k], wb[k:])):
+        if st.order is not None:
+            dense = np.zeros((g, n))
+            for first, start, stop in st.runs:
+                dense[first : first + k, start:stop] = half[:, start:stop]
+            half = dense
+        out[i * g : (i + 1) * g] = half if pos is None else half[:, pos]
+    return out
+
+
+def _stored_product(band, wb, layout, g, n):
+    k = band.width
+    out = np.zeros((2 * g, 2 * g))
+    prod = out if k == g else np.empty((2 * k, 2 * g))
+    for first, start, stop in band.runs:
+        lay = layout[:, start:stop].T
+        w = wb[:k, start:stop]
+        np.matmul(w, lay[:, :g], out=prod[:k, :g])
+        np.matmul(w, lay[:, g:], out=prod[:k, g:])
+        np.matmul(wb[k:, start:stop], lay, out=prod[k:])
+        if prod is not out:
+            out[first : first + k] += prod[:k]
+            out[g + first : g + first + k] += prod[k:]
+    return out / n
+
+
+@pytest.mark.parametrize("kernel", [BIWEIGHT, EPANECHNIKOV], ids=lambda k: k.name)
+@pytest.mark.parametrize("n", [200, 3000])
+def test_slope_weights_formed_on_demand_match_stored_ones(n, kernel):
+    rng = np.random.default_rng(n)
+    x = rng.uniform(0.0, 1.0, (n, 2))
+    data = Dataset(x=x, y=np.sin(4 * x[:, 0]) + x[:, 1] + rng.normal(0.0, 0.1, n))
+    ws = _engine.Workspace(data, GRID, kernel)
+    ws.switch_to_slopes()
+    g, points = GRID.size, GRID.points
+    hs = (0.08, 0.25, 0.4)
+    buf = np.empty((3 * g, n))
+    seen = set()
+    for ha in hs:
+        for hb in hs:
+            sa, sb = ws.axis(0, ha), ws.axis(1, hb)
+            flip = _engine._band_side(sa, sb)
+            band, other = (sb, sa) if flip else (sa, sb)
+            seen.add((band.order is None, other.order is None, flip))
+            want = _stored_layout(other, _stored_slopes(other, points), band.order, g)
+            got = _engine._lay_out(other, band.order, points, buf)
+            assert got.tobytes() == want.tobytes()
+            block = _stored_product(band, _stored_slopes(band, points), want, g, n)
+            assert ws._pair_blocks(0, 1, ha, hb)[0].tobytes() == (block.T if flip else block).tobytes()
+    if n == 200:
+        assert seen == {(True, True, False)}
+    else:
+        # Banded and dense band sides, either side of the pair.
+        assert {(True, False, False), (True, False, True), (False, False, False),
+                (False, False, True), (True, True, False)} <= seen
+
+
+def test_a_local_linear_scan_keeps_only_the_level_weights():
+    cfg = SimConfig(model="m1", n=5000, rho=0.5, seed=4)
+    data, _ = generate(cfg, 0)
+    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    h = (0.1, 0.1, 0.1)
+    ws.prepare([(c, *h[1:]) for c in cfg.search_spec().candidates], "ll")
+    assert len(ws._axes) == 27
+    # Each entry keeps its level weights at its band's width and no slope
+    # weights: half the bytes of the two stored together.
+    for st in ws._axes.values():
+        assert st.inv is not None and st.b.shape == (0, data.n)
+        assert st.w.nbytes == st.width * data.n * 8

@@ -9,9 +9,11 @@ dense weights (n = 300) and on banded ones (n = 2000 on a 9-point grid).
 """
 
 import collections
+import ctypes
 import multiprocessing
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,7 +240,11 @@ def test_a_failed_axis_build_is_not_tried_again(work, smoother, case, monkeypatc
     monkeypatch.setattr(_engine, "_AxisStats", Counting)
     data, spec, bad = _two_covariates_with_a_failing_candidate(case)
     sel = select_pls(data, smoother, spec, GRID)
-    assert sel.flags == ["1 candidate fits failed"]
+    expected = ["1 candidate fits failed"]
+    if case == "grid point":
+        # The uniform axis 1 settles on the last candidate, 0.4.
+        expected.append("axis 1: at the upper end of the search box")
+    assert sel.flags == expected
     # The scan's fill tries it once; the solve's own fill skips it, and
     # the solve's lookup raises the kept error.  No axis is built twice.
     assert built[0, bad] == 1 and set(built.values()) == {1}
@@ -265,3 +271,29 @@ def test_processes_started_after_a_threaded_build_finish(m1_sample, threads):
     with multiprocessing.get_context("fork").Pool(1) as pool:
         h = pool.apply_async(_select_in_child, (data, spec)).get(timeout=60)
     assert h.tobytes() == expected.tobytes()
+
+
+def _openblas_threads():
+    """numpy's bundled OpenBLAS's thread getter, or None without it."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in libs.glob("libscipy_openblas*.so*"):
+        get = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_num_threads64_", None)
+        if get is not None:
+            get.restype = ctypes.c_int
+            return get
+    return None
+
+
+def _threads_in_child():
+    return _openblas_threads()(), _engine._build_threads
+
+
+def test_study_processes_run_one_blas_thread():
+    get = _openblas_threads()
+    if get is None or "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs numpy's bundled OpenBLAS and fork")
+    mine = get(), _engine._build_threads
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(1, initializer=_engine._build_serially) as pool:
+        assert pool.apply_async(_threads_in_child).get(timeout=60) == (1, 1)
+    assert (get(), _engine._build_threads) == mine

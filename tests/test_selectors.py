@@ -160,6 +160,28 @@ class TestSelectPLS:
         with pytest.raises(ValueError):
             select_pls(dataset2, "loess", spec, grid25)
 
+    def test_flags_an_axis_on_the_end_of_the_search_box(self, grid25):
+        # At n = 200 pls undersmooths: on this m1 sample it ends on the
+        # lowest candidate on two axes.
+        data, _ = generate(SimConfig(model="m1", n=200, rho=0.0, seed=77), 0)
+        spec = BandwidthSearchSpec.for_sample_size(data.n, 3)
+        sel = select_pls(data, "ll", spec, grid25)
+        np.testing.assert_array_equal(sel.bandwidths[:2], spec.b_lo)
+        assert spec.b_lo < sel.bandwidths[2] < spec.b_hi
+        assert sel.flags == [
+            "axis 0: at the lower end of the search box",
+            "axis 1: at the lower end of the search box",
+        ]
+        # A linear surface has no bias to trade: the largest candidates.
+        rng = np.random.default_rng(35)
+        x = rng.uniform(0, 1, (150, 2))
+        data = Dataset(x=x, y=0.8 * x[:, 0] - 0.3 * x[:, 1] + rng.normal(0, 0.1, 150))
+        sel = select_pls(data, "ll", BandwidthSearchSpec.for_sample_size(150, 2), grid25)
+        assert sel.flags == [
+            "axis 0: at the upper end of the search box",
+            "axis 1: at the upper end of the search box",
+        ]
+
 
 class TestSelectPL:
     def test_zero_noise_linear_picks_largest_bandwidth(self, grid25):
