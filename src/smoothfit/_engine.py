@@ -46,7 +46,7 @@ band is the whole grid in input order as one run: dense weights, as at
 n = 200.  At large n, then, no (G, n) array outlives the call that needs
 it.  On an n = 20000 local linear ``pls`` selection the kept weights take
 83 MiB, a seventh of the dense level and slope weights, and ``smoothfit
-select`` peaks at about 160 MB instead of 650 MB.
+select`` peaks at about 140 MB instead of 650 MB.
 
 Per ordered axis pair (a, b), a < b, the pair cache holds the sample
 average of outer products of the weights, G x G level-only and the
@@ -54,8 +54,8 @@ stacked 2G x 2G block ``[[s11, s21], [s12, s22]]`` (rows on axis a's
 (level, slope), columns on axis b's) after the switch.  It is built from
 small products per run of one axis, the band side, against the other
 axis's weights laid out densely in the band side's order.  The key alone
-picks the band side, so a block never depends on which scan, solve or
-thread built it: the wider band, ties going to axis a.  (The wider band
+picks the band side, so a block never depends on which scan or solve
+built it: the wider band, ties going to axis a.  (The wider band
 has fewer runs, and selections settle in the narrow part of the search
 box, so in a coordinate scan the wider band is mostly the scanned
 candidate, and the fixed axes are laid out once for all candidates.)
@@ -92,25 +92,16 @@ read and filled only by ``selectors._FitCache``.
 Ahead-of-time fills.  Before a coordinate scan and before each solve,
 ``Workspace.prepare`` builds the missing axes, then the missing pairs,
 that the coming backfits read, and then folds their coupling blocks.  It
-runs at every n.  Where one axis build covers at least ``_PARALLEL_WORK``
-(n * G) weights, the axes are built on threads, one per CPU available to
-the process, started for that fill and joined before it goes on; below
-that the hand-off costs more than it saves, and they are built through
-``Workspace.axis``.  The threads run the same code on the same inputs,
-and the results enter the caches from the calling thread, so every
-number is bitwise the one a serial fill gives.  Processes of a study's
-process pool build serially.  The pairs are built on the calling thread
-(their many small products gain nothing from a second thread under the
-interpreter lock) through ``Workspace._pair_blocks``, as the folds read
-them in sorted key order, in which the pairs that share a layout of a
-partner follow each other: a one-entry memo lays each partner out once
-for them.  The axis cache holds the outcome of each axis build: its
-statistics, or the SmoothfitError it raised, which is not tried again.
-So the benchmark tracer, which counts lookups at ``axis`` and
-``_pair_blocks``, sees every pair build and every axis build made on
-the calling thread, and reads the later lookups of an axis, built on a
-thread or failed, as hits.  A bandwidth tuple gets pairs and folded
-blocks if and only if all of its axes are built.
+runs at every n, on the calling thread.  The axes are built through
+``Workspace.axis``, and the pairs through ``Workspace._pair_blocks`` as
+the folds read them, in sorted key order, in which the pairs that share
+a layout of a partner follow each other: a one-entry memo lays each
+partner out once for them.  The axis cache holds the outcome of each
+axis build: its statistics, or the SmoothfitError it raised, which is
+not tried again.  So the benchmark tracer, which counts lookups at
+``axis`` and ``_pair_blocks``, sees every build, and reads the later
+lookups of an axis, built or failed, as hits.  A bandwidth tuple gets
+pairs and folded blocks if and only if all of its axes are built.
 
 The folded blocks of a pair are the pair block scaled by the quadrature
 weights, with each row multiplied through by its axis's moment inverse
@@ -128,11 +119,7 @@ Not part of the public API.
 
 from __future__ import annotations
 
-import ctypes
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 
@@ -171,15 +158,6 @@ _SING_RTOL = 1e-12
 _RIDGE_SCALE = 1e-9
 
 
-# ``Workspace.prepare`` builds axes on threads only when one axis build
-# handles at least this many (grid point, observation) weights, n * G.
-# Measured with `smoothfit select` on two cores, one BLAS thread and
-# G = 25 (with dense weights, all on threads), the threaded time over the
-# serial one was 0.99-1.13 at n = 500, 0.94-1.01 at n = 2000 and 0.81
-# (pls, either smoother) or 1.07 (pl_star) at n = 5000, so the threshold
-# lies between the last two.
-_PARALLEL_WORK = 1 << 16
-
 # An axis is stored banded only where its runs of observations with the
 # same first grid index are long enough, on average, to pay for a small
 # product each: n >= _BAND_RUN * (G - width + 1); a band as wide as the
@@ -204,39 +182,6 @@ _SUPPORT_SLACK = 1e-12
 _FOLD_CHUNK = 8
 
 
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-# Threads per threaded fill: one per CPU available to the process, or one
-# (no threads) in a process that builds serially.
-_build_threads = _available_cpus()
-
-
-def _build_serially() -> None:
-    """Process initializer: this process builds its caches, and runs its
-    BLAS calls, on one thread, so that a pool of study processes does not
-    also start threads.
-
-    The BLAS threads are set through the thread setter that numpy's
-    bundled OpenBLAS exports; with any other BLAS this sets only the
-    build threads.
-    """
-    global _build_threads
-    _build_threads = 1
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in libs.glob("libscipy_openblas*.so*"):
-        try:
-            setter = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        setter(1)
-
-
 def _built(build, *args):
     """``build(*args)``, or the SmoothfitError it raised.  The error is
     kept in the axis cache, so it is stripped of the frames (and
@@ -246,18 +191,6 @@ def _built(build, *args):
     except SmoothfitError as err:
         err.__context__ = None
         return err.with_traceback(None)
-
-
-def _run_builds(build, calls: list) -> list:
-    """``[_built(build, *args) for args in calls]``; two or more calls run
-    on up to ``_build_threads`` threads, started here and joined before it
-    returns."""
-    if _build_threads > 1 and len(calls) > 1:
-        with ThreadPoolExecutor(
-            min(_build_threads, len(calls)), thread_name_prefix="smoothfit-build"
-        ) as pool:
-            return list(pool.map(lambda args: _built(build, *args), calls))
-    return [_built(build, *args) for args in calls]
 
 
 def _ridged_inverse(m00, m01, m11, j, points):
@@ -561,13 +494,11 @@ class Workspace:
         their coupling blocks.  With "ll" it switches the workspace to
         slopes first.
 
-        Where one axis build covers at least ``_PARALLEL_WORK`` weights,
-        the missing axes are built on threads started for this call and
-        joined before the pairs (see ``_run_builds``); below it, through
-        ``axis``.  Pairs are built on this thread through ``_pair_blocks``
-        as the folds read them, in sorted key order, so that the layout
-        memo lays each partner out once per run of pairs that share it;
-        the memo is dropped when this call returns.  Every entry holds the
+        Everything is built on the calling thread: the missing axes
+        through ``axis``, then the pairs through ``_pair_blocks`` as the
+        folds read them, in sorted key order, so that the layout memo
+        lays each partner out once per run of pairs that share it; the
+        memo is dropped when this call returns.  Every entry holds the
         same numbers as when built on demand.  An axis whose build raises
         a SmoothfitError is not tried again (see ``axis``).  A key gets
         pairs and folded blocks if and only if all of its axes are built;
@@ -581,7 +512,7 @@ class Workspace:
         """
         if smoother == "ll":
             self.switch_to_slopes()
-        d, g = self.data.d, self.grid.size
+        d = self.data.d
         keys = [[float(v) for v in h] for h in keys]
         pairs = [
             [(smoother, a, b, h[a], h[b]) for a in range(d) for b in range(a + 1, d)]
@@ -593,13 +524,8 @@ class Workspace:
         if d > 1 and all(key in held for blocks in pairs for key in blocks):
             return
         axes = {(j, h[j]) for h in keys for j in range(d)}
-        axes = sorted(axes - self._axes.keys())
-        if self.data.n * g >= _PARALLEL_WORK:
-            calls = [(self, j, h, self._slopes) for j, h in axes]
-            self._axes.update(zip(axes, _run_builds(_AxisStats, calls)))
-        else:
-            for key in axes:
-                _built(self.axis, *key)
+        for key in sorted(axes - self._axes.keys()):
+            _built(self.axis, *key)
         if d < 2:
             return
         need = set()

@@ -289,9 +289,12 @@ def cmd_simulate(args) -> int:
     workers = args.workers
     if cap is not None:
         try:
-            workers = max(1, min(workers, int(cap)))
+            limit = int(cap)
         except ValueError:
             raise _InputError(f"SMOOTHFIT_THREADS={cap!r} is not an integer") from None
+        if limit < 1:
+            raise _InputError(f"SMOOTHFIT_THREADS={cap!r} must be at least 1")
+        workers = min(workers, limit)
     try:
         config = SimConfig(
             model=args.model,

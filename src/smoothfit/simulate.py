@@ -15,8 +15,11 @@ parallel execution).
 
 from __future__ import annotations
 
+import ctypes
 import json
+import os
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -122,6 +125,7 @@ class SimConfig:
             _check_smoother(name, self.smoother)
         object.__setattr__(self, "selectors", chosen)
         _engine.check_tolerance("fit_tol", self.fit_tol)
+        _engine.check_count("workers", self.workers)
         # A bad search box or outer-loop control fails here rather than
         # in every replicate.
         self.search_spec()
@@ -449,10 +453,35 @@ class SimReport:
                     yield name, rec["replicate"], j, v
 
 
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _one_blas_thread() -> None:
+    """Process initializer: this process runs its BLAS calls on one
+    thread, so that a pool of study processes does not also start BLAS
+    threads.
+
+    It calls the thread setter that numpy's bundled OpenBLAS exports;
+    with any other BLAS it does nothing.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in libs.glob("libscipy_openblas*.so*"):
+        try:
+            setter = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+
+
 def _pool_size(config: SimConfig) -> int:
     """Worker processes for a study: never more than the replicates or
-    the CPUs available to the process, counted as for the build pool."""
-    return max(1, min(config.workers, config.replicates, _engine._available_cpus()))
+    the CPUs available to the process."""
+    return min(config.workers, config.replicates, _available_cpus())
 
 
 def run_study(config: SimConfig) -> SimReport:
@@ -462,7 +491,7 @@ def run_study(config: SimConfig) -> SimReport:
     affected selector's averages; everything else proceeds.  With
     ``config.workers > 1`` replicates run in parallel processes (at most
     one per replicate and per CPU), with identical results to a serial
-    run; each of those processes builds its caches on one thread.
+    run; each of those processes runs its BLAS calls on one thread.
     """
     reps = range(config.replicates)
     workers = _pool_size(config)
@@ -472,7 +501,7 @@ def run_study(config: SimConfig) -> SimReport:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_engine._build_serially
+            max_workers=workers, initializer=_one_blas_thread
         ) as pool:
             records = list(pool.map(_run_replicate, [config] * config.replicates, reps))
     else:

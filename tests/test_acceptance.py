@@ -60,7 +60,7 @@ def study_m1_200_r05():
 @pytest.fixture(scope="session")
 def study_m1_500_r0():
     # Pooled, this study is fast only because the pool initializer
-    # (``_engine._build_serially``) sets numpy's bundled OpenBLAS to one
+    # (``simulate._one_blas_thread``) sets numpy's bundled OpenBLAS to one
     # thread per process; with a BLAS it cannot set, two processes of two
     # BLAS threads each ran it several times slower than serially.
     return run_study(SimConfig(model="m1", n=500, rho=0.0,

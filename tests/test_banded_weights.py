@@ -142,21 +142,18 @@ def _pair_sources(data, spec, slopes):
 
 @pytest.mark.parametrize("slopes", [False, True])
 def test_pair_block_depends_on_its_key_alone(slopes, monkeypatch):
-    # n = 600 with the band rule and the fill threshold lowered, so that
-    # banded axes, shared layouts and axes built on threads all take part.
+    # n = 600 with the band rule lowered, so that banded axes and shared
+    # layouts take part.
     monkeypatch.setattr(_engine, "_BAND_RUN", 10)
-    monkeypatch.setattr(_engine, "_PARALLEL_WORK", 1)
     cfg = SimConfig(model="m1", n=600, rho=0.5, seed=8)
     data, _ = generate(cfg, 0)
     h, cands, sources = _pair_sources(data, cfg.search_spec(), slopes)
     keys = [(0, 1, c, h[1]) for c in cands] + [(0, 1, h[0], c) for c in cands]
     keys += [(0, 2, h[0], h[2]), (1, 2, h[1], h[2])]
     built = []
-    for threads in (4, 1):
-        monkeypatch.setattr(_engine, "_build_threads", threads)
-        for source in sources:
-            ws = source()
-            built.append([ws._pair_blocks(*key)[0].tobytes() for key in keys])
+    for source in sources:
+        ws = source()
+        built.append([ws._pair_blocks(*key)[0].tobytes() for key in keys])
     assert all(b == built[0] for b in built[1:])
     # Banded axes on both band sides of the scanned pairs.
     ws = sources[1]()

@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smoothfit import Grid, SimConfig, _engine, cli, generate, selectors, simulate
+from smoothfit import (
+    BIWEIGHT, Grid, SimConfig, _engine, cli, generate, selectors, simulate,
+)
 
 from conftest import make_gap_dataset
 
@@ -74,26 +76,19 @@ def test_traced_run_records_every_layer_and_restores_the_package(spans):
             assert now[attr] is value, f"{owner.__name__}.{attr} not restored"
 
 
-def _pair_lookups(spans, data, spec):
-    """(pair builds, pair hits) of a traced local linear pls selection."""
+def test_traced_large_selection_counts_every_axis_build(spans):
+    # n * G = 2700 * 25 weights per axis build, above 2^16: a large-n
+    # selection, whose axes are built through ``Workspace.axis`` as at
+    # small n, so each build is one span.
+    cfg = SimConfig(model="m1", n=2700, seed=9, search_num=6)
+    data, _ = generate(cfg, 0)
+    grid = Grid.regular(25)
+    ws = _engine.Workspace(data, grid, BIWEIGHT)
     tracer = spans.Tracer()
     with spans.traced(tracer):
-        simulate.select_pls(data, "ll", spec, Grid.regular(25))
-    builds = sum(1 for span in tracer.spans if span[0] == "pair.build")
-    return builds, tracer.hits["pair"]
-
-
-def test_traced_threaded_fills_record_their_pair_builds(spans, monkeypatch):
-    cfg = SimConfig(model="m1", n=120, seed=9, search_num=8)
-    data, _ = generate(cfg, 0)
-    serial = _pair_lookups(spans, data, cfg.search_spec())
-    monkeypatch.setattr(_engine, "_PARALLEL_WORK", 1)
-    monkeypatch.setattr(_engine, "_build_threads", 2)
-    threaded = _pair_lookups(spans, data, cfg.search_spec())
-    # Pairs are built through ``_pair_blocks`` on either path, so the
-    # tracer sees the same builds and hits.
-    assert threaded[0] > 0
-    assert threaded == serial
+        simulate.select_pls(data, "ll", cfg.search_spec(), grid, workspace=ws)
+    builds = [span for span in tracer.spans if span[0] == "axis.build"]
+    assert 0 < len(builds) == len(ws._axes)
 
 
 def test_traced_failed_axis_build_is_one_build(spans, monkeypatch):

@@ -262,11 +262,23 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out.read_text())["config"]["workers"] == 1
 
-    def test_thread_cap_invalid_exits_2(self, monkeypatch):
-        monkeypatch.setenv("SMOOTHFIT_THREADS", "lots")
-        assert main([
-            "simulate", "--model", "m2", "--n", "50", "--reps", "1",
-        ]) == 2
+    def test_thread_cap_invalid_exits_2(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "never.json"
+        argv = ["simulate", "--model", "m2", "--n", "50", "--reps", "1",
+                "--out", str(out)]
+        for cap in ("lots", "0", "-1"):
+            monkeypatch.setenv("SMOOTHFIT_THREADS", cap)
+            assert main(argv) == 2
+            assert "SMOOTHFIT_THREADS" in capsys.readouterr().err
+        # A worker count below 1 is rejected as a bad --reps is, and the
+        # cap does not raise it to 1.
+        monkeypatch.setenv("SMOOTHFIT_THREADS", "2")
+        assert main(argv + ["--workers", "-3"]) == 2
+        monkeypatch.delenv("SMOOTHFIT_THREADS")
+        for workers in ("0", "-3"):
+            assert main(argv + ["--workers", workers]) == 2
+        assert capsys.readouterr().err.count("workers must be") == 3
+        assert not out.exists()
 
 
 class TestEntryPoint:

@@ -1,11 +1,14 @@
 """Covariate sampling, data generation, and the study harness."""
 
+import ctypes
 import json
+import multiprocessing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from smoothfit import SimConfig, _engine, generate, run_study, sample_covariates
+from smoothfit import SimConfig, generate, run_study, sample_covariates, simulate
 from smoothfit.errors import SamplerDegenerateError
 from smoothfit.simulate import SimReport, _pool_size
 
@@ -116,6 +119,9 @@ class TestSimConfig:
             SimConfig(model="m1", n=100, outer_tol=np.nan)
         with pytest.raises(ValueError, match="candidates"):
             SimConfig(model="m1", n=100, search_num=3)
+        for bad in (0, -3, 2.5, True):
+            with pytest.raises(ValueError, match="workers"):
+                SimConfig(model="m1", n=100, workers=bad)
 
     def test_default_selectors(self):
         assert SimConfig(model="m1", n=100).selectors == (
@@ -188,25 +194,26 @@ class TestRunStudy:
         assert len(ld) == 9
 
     def test_parallel_matches_serial(self):
-        base = dict(
-            model="m2", n=60, replicates=2, seed=12, selectors=("pls1",)
-        )
-        serial = run_study(SimConfig(workers=1, **base))
-        parallel = run_study(SimConfig(workers=2, **base))
-        # identical results; only the echoed worker count may differ
-        assert serial.replicates == parallel.replicates
-        assert serial.summary == parallel.summary
+        for base in (
+            dict(model="m2", n=60, replicates=2, seed=12, selectors=("pls1",)),
+            dict(model="m1", n=60, replicates=2, seed=13, selectors=("pls",),
+                 search_num=8),
+        ):
+            serial = run_study(SimConfig(workers=1, **base))
+            parallel = run_study(SimConfig(workers=2, **base))
+            # identical results; only the echoed worker count may differ
+            assert serial.replicates == parallel.replicates
+            assert serial.summary == parallel.summary
 
     def test_pool_size_is_clamped(self, monkeypatch):
         # Only the clamp is computed here; no process is started.  The
-        # study pool counts the CPUs available to the process, as the
-        # build pool does.
-        monkeypatch.setattr(_engine, "_available_cpus", lambda: 2)
+        # study pool counts the CPUs available to the process.
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: 2)
         base = dict(model="m2", n=50, selectors=("pls1",))
         assert _pool_size(SimConfig(workers=64, replicates=200, **base)) == 2
         assert _pool_size(SimConfig(workers=64, replicates=1, **base)) == 1
         assert _pool_size(SimConfig(workers=1, replicates=200, **base)) == 1
-        monkeypatch.setattr(_engine, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: 1)
         assert _pool_size(SimConfig(workers=2, replicates=5, **base)) == 1
 
     def test_single_replicate_has_null_standard_errors(self):
@@ -251,3 +258,29 @@ class TestRunStudy:
                       selectors=("pl_star",), search_num=8)
         )
         assert converged.summary["pl_star"]["unconverged"] == 0
+
+
+def _openblas_threads():
+    """numpy's bundled OpenBLAS's thread getter, or None without it."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in libs.glob("libscipy_openblas*.so*"):
+        get = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_num_threads64_", None)
+        if get is not None:
+            get.restype = ctypes.c_int
+            return get
+    return None
+
+
+def _blas_threads_in_child():
+    return _openblas_threads()()
+
+
+def test_study_processes_run_one_blas_thread():
+    get = _openblas_threads()
+    if get is None or "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs numpy's bundled OpenBLAS and fork")
+    mine = get()
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(1, initializer=simulate._one_blas_thread) as pool:
+        assert pool.apply_async(_blas_threads_in_child).get(timeout=60) == 1
+    assert get() == mine
