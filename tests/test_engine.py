@@ -8,7 +8,6 @@ blocks computed directly from the cached kernel weights.  The solvers in
 update; both must take the same sweeps to the same curves.
 """
 
-import collections
 from unittest import mock
 
 import numpy as np
@@ -29,8 +28,6 @@ from smoothfit import (
 )
 from smoothfit import _engine
 from smoothfit.errors import NonConvergenceError, NumericError
-
-from conftest import make_gap_dataset
 
 GRID = Grid.regular(25)
 
@@ -530,53 +527,3 @@ def test_candidate_with_a_failing_axis_is_flagged_as_with_assembly(smoother):
         want = fields(select_pls(data, smoother, spec, GRID))
     assert got == want
     assert len(got[2]) == 1 and got[2][0].endswith("candidate fits failed")
-
-
-def _two_covariates_with_a_failing_candidate(case):
-    """d = 2, n = 300, and the candidate (axis 0, h) whose build raises.
-
-    ``"observation"``: axis 0 uniform, so that its 0.004 candidate leaves
-    observations with no grid mass; axis 1 on the grid points, where the
-    same candidate builds.  ``"grid point"``: axis 0 with no observation
-    within 0.1 of the grid points 0.458333 .. 0.541667, so that its 0.1
-    candidate leaves grid points with no observations; axis 1 uniform.
-    """
-    if case == "grid point":
-        data = make_gap_dataset(d=2, n=300)
-        spec = BandwidthSearchSpec(candidates=[0.1, 0.2, 0.25, 0.3, 0.4], h0=[0.2, 0.4])
-        return data, spec, 0.1
-    rng = np.random.default_rng(0)
-    x = rng.uniform(0.0, 1.0, (300, 2))
-    x[:, 1] = np.round(x[:, 1] * 24) / 24
-    y = x[:, 0] ** 2 + np.sin(3 * x[:, 1]) + rng.normal(0.0, 0.1, 300)
-    spec = BandwidthSearchSpec(candidates=[0.004, 0.1, 0.15, 0.2, 0.3], h0=[0.1, 0.1])
-    return Dataset(x=x, y=y), spec, 0.004
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("smoother,case", [
-    pytest.param("ll", "observation", id="ll"),
-    pytest.param("nw", "observation", id="nw"),
-    pytest.param("ll", "grid point", id="ll-uncovered-grid-point"),
-])
-def test_a_failed_axis_build_is_not_tried_again(smoother, case, monkeypatch):
-    built = collections.Counter()
-
-    class Counting(_engine._AxisStats):
-        __slots__ = ()
-
-        def __init__(self, ws, j, h, slopes):
-            built[j, h] += 1
-            super().__init__(ws, j, h, slopes)
-
-    monkeypatch.setattr(_engine, "_AxisStats", Counting)
-    data, spec, bad = _two_covariates_with_a_failing_candidate(case)
-    sel = select_pls(data, smoother, spec, GRID)
-    expected = ["1 candidate fits failed"]
-    if case == "grid point":
-        # The uniform axis 1 settles on the last candidate, 0.4.
-        expected.append("axis 1: at the upper end of the search box")
-    assert sel.flags == expected
-    # The scan's fill tries it once; the solve's own fill skips it, and
-    # the solve's lookup raises the kept error.  No axis is built twice.
-    assert built[0, bad] == 1 and set(built.values()) == {1}
