@@ -23,10 +23,11 @@ subtraction and one product away from ``w`` and the covariate, which an
 entry references (the workspace holds each covariate once in sorted
 order, beside the input).  The build forms them in a temporary for its
 sums, and the pair products form them again where they read them: into
-a scratch per run of the band side (``_pair_product``) and into the
-partner's layout (``_lay_out``), operand for operand the build's
-arithmetic, so every value is bitwise the one a stored copy would hold.
-Each entry's ``b`` is an empty (0, n) array.
+a scratch per run of the band side (``_pair_product``) and, in one pass
+over the partner's gathered band, into its layout (``_lay_out``),
+operand for operand the build's arithmetic (``_slopes``), so every value
+is bitwise the one a stored copy would hold.  Each entry's ``b`` is an
+empty (0, n) array.
 
 An axis is built complete or not at all.  Its build fails with
 EmptyNeighborhoodError where an observation has no grid mass or a grid
@@ -53,7 +54,11 @@ average of outer products of the weights, G x G level-only and the
 stacked 2G x 2G block ``[[s11, s21], [s12, s22]]`` (rows on axis a's
 (level, slope), columns on axis b's) after the switch.  It is built from
 small products per run of one axis, the band side, against the other
-axis's weights laid out densely in the band side's order.  The key alone
+axis's weights laid out densely in the band side's order.  A banded
+partner is laid out from one gather of its ``width`` rows, its covariate
+and its first grid indices into that order, and one scatter into the
+zeroed layout per half; a dense one is copied or gathered whole.  The
+layout takes exactly its G or 2G rows, with no scratch.  The key alone
 picks the band side, so a block never depends on which scan or solve
 built it: the wider band, ties going to axis a.  (The wider band
 has fewer runs, and selections settle in the narrow part of the search
@@ -325,13 +330,18 @@ def _band_side(sa: _AxisStats, sb: _AxisStats) -> bool:
     return sb.width > sa.width
 
 
+def _slopes(w: np.ndarray, x: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The slope weights ``w * (x - u)``, written into ``out``: operand for
+    operand the subtraction and product of the build."""
+    np.subtract(x, u, out=out)
+    return np.multiply(w, out, out=out)
+
+
 def _slope_rows(st: _AxisStats, points: np.ndarray, run, out: np.ndarray) -> np.ndarray:
-    """The slope weights ``w * (X - u)`` of ``st`` on one run ``(first,
-    start, stop)``, written into ``out`` of shape (width, stop - start):
-    operand for operand the subtraction and product of the build."""
+    """The slope weights of ``st`` on one run ``(first, start, stop)``,
+    written into ``out`` of shape (width, stop - start)."""
     first, start, stop = run
-    np.subtract(st.x[start:stop], points[first : first + st.width, None], out=out)
-    return np.multiply(st.w[:, start:stop], out, out=out)
+    return _slopes(st.w[:, start:stop], st.x[start:stop], points[first : first + st.width, None], out)
 
 
 def _lay_out(st: _AxisStats, order, points: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -340,43 +350,49 @@ def _lay_out(st: _AxisStats, order, points: np.ndarray, buf: np.ndarray) -> np.n
     (None for input order).
 
     Level-only, a dense axis in input order is returned as it is (``w``).
-    Otherwise the weights are written into ``buf``, of G more rows than
-    that for scratch; the slope rows are formed there from ``w`` and the
-    covariate (``_slope_rows``).
+    Otherwise the weights are written into ``buf``, of exactly the
+    layout's rows.  A dense axis is copied or gathered into place.  A
+    banded axis gathers its ``width`` rows, its covariate and each
+    observation's first grid index into ``order``, and scatters the rows
+    into the zeroed layout in one call.  The slope rows are formed from
+    the gathered weights and covariate in one pass (``_slopes``), so every
+    value is bitwise the one a layout of stored slope weights would hold.
     """
     slopes = st.inv is not None
     if order is None and st.order is None and not slopes:
         return st.w
     g = len(points)
-    rows = (2 if slopes else 1) * g
+    level, slope = buf[:g], buf[g : 2 * g]
     if st.order is None:
-        pos = order
-    else:
-        pos = st.rank if order is None else st.rank[order]
-    scratch = buf[rows : rows + g]
-    for i in range(rows // g):
-        half = buf[i * g : (i + 1) * g]
-        if i == 0 and st.order is None:
-            dense = st.w
+        x = st.x
+        if order is None:
+            level[...] = st.w
         else:
-            # Dense in the axis's own order, by runs (gathered below).
-            dense = half if pos is None else scratch
-            if st.order is not None:
-                dense.fill(0.0)
-            for run in st.runs:
-                first, start, stop = run
-                part = dense[first : first + st.width, start:stop]
-                if i == 0:
-                    part[...] = st.w[:, start:stop]
-                else:
-                    _slope_rows(st, points, run, part)
-        if pos is not None:
             # Every index is in range; 'clip' skips the bounds pass and the
             # copy through a temporary that 'raise' makes for ``out``.
-            np.take(dense, pos, axis=1, out=half, mode="clip")
-        elif dense is not half:
-            half[...] = dense
-    return buf[:rows]
+            np.take(st.w, order, axis=1, out=level, mode="clip")
+            x = x[order]
+        if slopes:
+            _slopes(level, x, points[:, None], slope)
+    else:
+        pos = st.rank if order is None else st.rank[order]
+        n = len(pos)
+        runs = np.array(st.runs)
+        first = np.repeat(runs[:, 0], runs[:, 2] - runs[:, 1])[pos]
+        rows = first + np.arange(st.width)[:, None]
+        # Flat indices into a (G, n) half, so that each half takes one
+        # scatter: over the layouts of an n = 20000 selection, a tenth
+        # faster than ``np.put_along_axis`` on ``rows``.
+        flat = rows * n
+        flat += np.arange(n)
+        w = np.take(st.w, pos, axis=1, mode="clip")
+        level.fill(0.0)
+        level.reshape(-1)[flat] = w
+        if slopes:
+            u = points[rows]
+            slope.fill(0.0)
+            slope.reshape(-1)[flat] = _slopes(w, st.x[pos], u, u)
+    return buf[: (2 if slopes else 1) * g]
 
 
 def _pair_product(ws: "Workspace", band: _AxisStats, layout: np.ndarray, flip: bool) -> tuple:
@@ -590,14 +606,15 @@ class Workspace:
         """``other`` laid out in the order of ``band``, its pair's band
         side on axis j: the memo's layout where the last pair laid out had
         its band side on axis j, as dense or banded, and the same partner
-        entry; otherwise laid out anew into the memo's one buffer."""
+        entry; otherwise laid out anew into the memo's one buffer, of
+        exactly a layout's rows (G level-only, 2G with slopes)."""
         shared = (j, band.order is None)
         memo = self._layout
         if memo is None or memo[0] != shared or memo[1] is not other:
             g = self.grid.size
             self._layout = None  # until the buffer holds the new layout
             if self._layout_buf is None:
-                rows = (3 if self._slopes else 2) * g
+                rows = (2 if self._slopes else 1) * g
                 self._layout_buf = np.empty((rows, self.data.n))
             layout = _lay_out(other, band.order, self.grid.points, self._layout_buf)
             memo = self._layout = (shared, other, layout)

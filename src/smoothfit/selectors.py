@@ -232,10 +232,12 @@ class _FitCache:
         self.recent = []
 
     def prepare(self, keys):
-        """Build the caches that fits at ``keys`` will read, in parallel
-        where the workspace finds that worthwhile, and fold their coupling
-        blocks; keys already in the store of solved backfits are skipped,
-        as they will not be solved."""
+        """Build the caches that fits at ``keys`` will read and fold their
+        coupling blocks, all before the first fit: so the pairs are built
+        in sorted key order, in which those that share a partner's layout
+        follow each other, and folded in chunks.  Keys already in the
+        store of solved backfits are skipped, as they will not be
+        solved."""
         head = (self.smoother, self.tol, self.max_sweeps)
         keys = [key for key in keys if (*head, key) not in self.ws._fits]
         self.ws.prepare(keys, self.smoother)
@@ -515,8 +517,9 @@ def _grid_search(fits, criterion, spec: BandwidthSearchSpec, method: str, once=F
         return val
 
     def evaluate(keys):
-        # The scan's caches are built up front, so that they can be built
-        # in parallel; the fits themselves stay in order for warm starts.
+        # The scan's caches are built up front, so that partner layouts are
+        # shared in sorted key order and the folds run in chunks; the fits
+        # themselves stay in order for warm starts.
         fits.prepare([key for key in keys if key not in memo])
         return [objective(key) for key in keys]
 

@@ -275,7 +275,7 @@ def test_slope_weights_formed_on_demand_match_stored_ones(n, kernel):
     ws.switch_to_slopes()
     g, points = GRID.size, GRID.points
     hs = (0.08, 0.25, 0.4)
-    buf = np.empty((3 * g, n))
+    buf = np.empty((2 * g, n))
     seen = set()
     for ha in hs:
         for hb in hs:
@@ -294,6 +294,50 @@ def test_slope_weights_formed_on_demand_match_stored_ones(n, kernel):
         # Banded and dense band sides, either side of the pair.
         assert {(True, False, False), (True, False, True), (False, False, False),
                 (False, False, True), (True, True, False)} <= seen
+
+
+def _clamped(st, h, points):
+    """How many observations of the banded ``st`` have their first grid
+    point clamped down to G - width."""
+    lo = np.searchsorted(points, st.x - h - _engine._SUPPORT_SLACK)
+    return int(np.count_nonzero(lo > len(points) - st.width))
+
+
+@pytest.mark.parametrize("slopes", [False, True], ids=["level", "slopes"])
+@pytest.mark.parametrize("kernel", [BIWEIGHT, EPANECHNIKOV], ids=lambda k: k.name)
+def test_one_pass_layouts_match_the_stored_ones(kernel, slopes):
+    # n = 3000: h = 0.08 keeps the whole grid (its runs would be short),
+    # h = 0.25 and 0.4 are banded.
+    n = 3000
+    rng = np.random.default_rng(11)
+    x = rng.uniform(0.0, 1.0, (n, 2))
+    data = Dataset(x=x, y=np.cos(3 * x[:, 1]) + rng.normal(0.0, 0.1, n))
+    ws = _engine.Workspace(data, GRID, kernel)
+    if slopes:
+        ws.switch_to_slopes()
+    g, points = GRID.size, GRID.points
+    rows = (2 if slopes else 1) * g
+    dense = [ws.axis(j, 0.08) for j in (0, 1)]
+    banded = {(j, h): ws.axis(j, h) for j in (0, 1) for h in (0.25, 0.4)}
+    assert all(st.order is None for st in dense)
+    for (j, h), st in banded.items():
+        assert st.order is not None and _clamped(st, h, points) > 0
+    cases = [(st, dense[1 - j].order) for (j, _), st in banded.items()]
+    cases += [(st, ws.axis(1 - j, 0.4).order) for (j, _), st in banded.items()]
+    cases += [(dense[0], banded[1, 0.25].order), (dense[1], banded[0, 0.4].order)]
+    cases += [(dense[0], dense[1].order)]
+    for st, order in cases:
+        want = _stored_layout(st, _stored_slopes(st, points), order, g)[:rows]
+        got = _engine._lay_out(st, order, points, np.empty((rows, n)))
+        assert got.shape == (rows, n) and got.tobytes() == want.tobytes()
+    # Through the pair path, the memo's buffer holds the layout's rows and
+    # no more.
+    assert ws._layout_buf is None
+    ws._pair_blocks(0, 1, 0.25, 0.4)
+    band, other = banded[1, 0.4], banded[0, 0.25]
+    want = _stored_layout(other, _stored_slopes(other, points), band.order, g)[:rows]
+    assert ws._layout_buf.shape == (rows, n)
+    assert ws._layout[2].tobytes() == want.tobytes()
 
 
 def test_a_local_linear_scan_keeps_only_the_level_weights():
