@@ -3,7 +3,10 @@
 A ``Workspace`` memoizes, per dataset, everything that depends only on
 (axis, bandwidth) or on a pair of them.  Bandwidth selectors evaluate
 hundreds of backfits over a fixed candidate grid, so these caches (plus
-warm starts) dominate the running time.
+warm starts) dominate the running time.  A workspace fixes one sample,
+one grid and one kernel; ``workspace_for`` is the one place that picks
+their defaults and builds a workspace for a fit or a selection, and it
+rejects a given workspace built on another sample, grid or kernel.
 
 Layout.  A workspace starts level-only, which is all the Nadaraya-Watson
 smoother reads.  Per (axis, bandwidth), ``_AxisStats`` keeps the
@@ -57,13 +60,14 @@ small products per run of one axis, the band side, against the other
 axis's weights laid out densely in the band side's order.  A banded
 partner is laid out from one gather of its ``width`` rows, its covariate
 and its first grid indices into that order, and one scatter into the
-zeroed layout per half; a dense one is copied or gathered whole.  The
-layout takes exactly its G or 2G rows, with no scratch.  The key alone
-picks the band side, so a block never depends on which scan or solve
-built it: the wider band, ties going to axis a.  (The wider band
-has fewer runs, and selections settle in the narrow part of the search
-box, so in a coordinate scan the wider band is mostly the scanned
-candidate, and the fixed axes are laid out once for all candidates.)
+zeroed layout per half; a dense one, whose band side is dense too, is
+copied whole.  The layout takes exactly its G or 2G rows, with no
+scratch.  The key alone picks the band side, so a block never depends on
+which scan or solve built it: the wider band, ties going to axis a.
+(The wider band has fewer runs, and selections settle in the narrow
+part of the search box, so in a coordinate scan the wider band is mostly
+the scanned candidate, and the fixed axes are laid out once for all
+candidates.)
 The level block is a product of its own, so it holds the same numbers on
 either layout, and a Nadaraya-Watson fit does not depend on whether the
 workspace has switched.
@@ -136,7 +140,7 @@ from .errors import (
     SingularMomentError,
     SmoothfitError,
 )
-from .kernels import KernelSpec
+from .kernels import BIWEIGHT, KernelSpec
 from .density import _band_weights
 
 DEFAULT_TOL = 1e-6
@@ -349,31 +353,26 @@ def _lay_out(st: _AxisStats, order, points: np.ndarray, buf: np.ndarray) -> np.n
     rows ((G, n) or (2G, n)), with columns in ``order``, the band side's
     (None for input order).
 
-    Level-only, a dense axis in input order is returned as it is (``w``).
-    Otherwise the weights are written into ``buf``, of exactly the
-    layout's rows.  A dense axis is copied or gathered into place.  A
-    banded axis gathers its ``width`` rows, its covariate and each
-    observation's first grid index into ``order``, and scatters the rows
-    into the zeroed layout in one call.  The slope rows are formed from
-    the gathered weights and covariate in one pass (``_slopes``), so every
-    value is bitwise the one a layout of stored slope weights would hold.
+    A dense axis is only ever laid out in input order: its width is G, so
+    it is the wider band of its pair, and the band side is dense too.
+    Level-only, it is returned as it is (``w``).  Otherwise the weights
+    are written into ``buf``, of exactly the layout's rows.  A dense axis
+    is copied into place.  A banded axis gathers its ``width`` rows, its
+    covariate and each observation's first grid index into ``order``, and
+    scatters the rows into the zeroed layout in one call.  The slope rows
+    are formed from the gathered weights and covariate in one pass
+    (``_slopes``), so every value is bitwise the one a layout of stored
+    slope weights would hold.
     """
+    assert order is None or st.order is not None, "a dense partner in a banded order"
     slopes = st.inv is not None
-    if order is None and st.order is None and not slopes:
+    if st.order is None and not slopes:
         return st.w
     g = len(points)
     level, slope = buf[:g], buf[g : 2 * g]
     if st.order is None:
-        x = st.x
-        if order is None:
-            level[...] = st.w
-        else:
-            # Every index is in range; 'clip' skips the bounds pass and the
-            # copy through a temporary that 'raise' makes for ``out``.
-            np.take(st.w, order, axis=1, out=level, mode="clip")
-            x = x[order]
-        if slopes:
-            _slopes(level, x, points[:, None], slope)
+        level[...] = st.w
+        _slopes(level, st.x, points[:, None], slope)
     else:
         pos = st.rank if order is None else st.rank[order]
         n = len(pos)
@@ -648,6 +647,47 @@ class Workspace:
         for j in range(self.data.d) if axes is None else axes:
             out += self.component_at_data(j, comps[j])
         return out
+
+
+def workspace_for(
+    data: Dataset,
+    grid: Grid | None = None,
+    kernel: KernelSpec | None = None,
+    workspace: Workspace | None = None,
+) -> Workspace:
+    """The workspace that a fit or selection on ``data`` runs on.
+
+    Without ``workspace``, a new one on ``grid`` (default: the regular
+    25-point grid) with ``kernel`` (default: biweight).  A given workspace
+    is returned as it is, but only if it was built on ``data`` (the same
+    object, or equal covariates and responses) and ``grid`` and ``kernel``
+    are each None or equal to its own; otherwise this raises ValueError,
+    so that a fit never mixes one sample's, grid's or kernel's state with
+    another's.
+    """
+    if workspace is None:
+        return Workspace(
+            data,
+            Grid.regular() if grid is None else grid,
+            BIWEIGHT if kernel is None else kernel,
+        )
+    ws = workspace
+    if ws.data is not data and not (
+        np.array_equal(ws.data.x, data.x) and np.array_equal(ws.data.y, data.y)
+    ):
+        raise ValueError("the workspace was built on other data")
+    if grid is not None and grid is not ws.grid and not np.array_equal(
+        grid.points, ws.grid.points
+    ):
+        raise ValueError(
+            f"grid of {grid.size} points differs from the workspace's "
+            f"{ws.grid.size}-point grid"
+        )
+    if kernel is not None and kernel != ws.kernel:
+        raise ValueError(
+            f"kernel {kernel.name!r} differs from the workspace's {ws.kernel.name!r}"
+        )
+    return ws
 
 
 # -- solvers ----------------------------------------------------------------

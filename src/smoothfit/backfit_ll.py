@@ -76,8 +76,8 @@ def marginal_ll(
 def backfit_ll(
     data: Dataset,
     h,
-    grid: Grid,
-    kernel: KernelSpec = BIWEIGHT,
+    grid: Grid | None = None,
+    kernel: KernelSpec | None = None,
     tol: float = _engine.DEFAULT_TOL,
     max_sweeps: int = _engine.DEFAULT_MAX_SWEEPS,
     workspace: "_engine.Workspace | None" = None,
@@ -88,13 +88,16 @@ def backfit_ll(
     Levels and slopes are swept jointly in axis order until the sup-norm
     change of a sweep drops below ``tol`` relative to the curve scale.
     The returned fit satisfies the norming constraints exactly and its
-    intercept is the response mean.
+    intercept is the response mean.  ``grid`` and ``kernel`` default to
+    those of ``workspace``, else to the regular 25-point grid and the
+    biweight kernel.
 
     Raises
     ------
     ValueError
-        If ``tol`` is not finite and positive, or ``max_sweeps`` is not an
-        integer of at least 1.
+        If ``tol`` is not finite and positive, ``max_sweeps`` is not an
+        integer of at least 1, or ``workspace`` was built on other data
+        or on another grid or kernel than the ones passed.
     NonConvergenceError
         With the last sup-norm change attached, if sweeps run out.
     EmptyNeighborhoodError
@@ -108,7 +111,7 @@ def backfit_ll(
         raise ValueError(f"need {data.d} bandwidths, got {h.size}")
     _engine.check_tolerance("tol", tol)
     _engine.check_count("max_sweeps", max_sweeps)
-    ws = workspace if workspace is not None else _engine.Workspace(data, grid, kernel)
+    ws = _engine.workspace_for(data, grid, kernel, workspace)
     comps, slopes, sweeps, changes = _engine.ll_solve(
         ws, h, init=init, tol=tol, max_sweeps=max_sweeps
     )
@@ -117,7 +120,7 @@ def backfit_ll(
         components=comps,
         slopes=slopes,
         bandwidths=h,
-        grid=grid,
+        grid=ws.grid,
         iterations=sweeps,
         converged=True,
         sweep_changes=changes,

@@ -78,8 +78,8 @@ def marginal_nw(
 def backfit_nw(
     data: Dataset,
     h,
-    grid: Grid,
-    kernel: KernelSpec = BIWEIGHT,
+    grid: Grid | None = None,
+    kernel: KernelSpec | None = None,
     tol: float = _engine.DEFAULT_TOL,
     max_sweeps: int = _engine.DEFAULT_MAX_SWEEPS,
     workspace: "_engine.Workspace | None" = None,
@@ -95,17 +95,19 @@ def backfit_nw(
     ----------
     data : Dataset
     h : sequence of d positive bandwidths
-    grid : Grid
-    kernel : KernelSpec
+    grid : Grid, default the workspace's, else the regular 25-point grid
+    kernel : KernelSpec, default the workspace's, else biweight
     tol, max_sweeps : stopping rule for the sweeps
-    workspace : reuse a cached engine workspace (selectors do this)
+    workspace : reuse a cached engine workspace built on ``data`` (the
+        command line does this)
     init : optional (d, grid size) warm start
 
     Raises
     ------
     ValueError
-        If ``tol`` is not finite and positive, or ``max_sweeps`` is not an
-        integer of at least 1.
+        If ``tol`` is not finite and positive, ``max_sweeps`` is not an
+        integer of at least 1, or ``workspace`` was built on other data
+        or on another grid or kernel than the ones passed.
     NonConvergenceError
         If ``max_sweeps`` sweeps do not reach ``tol``; carries the last
         sup-norm change.
@@ -118,7 +120,7 @@ def backfit_nw(
         raise ValueError(f"need {data.d} bandwidths, got {h.size}")
     _engine.check_tolerance("tol", tol)
     _engine.check_count("max_sweeps", max_sweeps)
-    ws = workspace if workspace is not None else _engine.Workspace(data, grid, kernel)
+    ws = _engine.workspace_for(data, grid, kernel, workspace)
     comps, sweeps, changes = _engine.nw_solve(
         ws, h, init=init, tol=tol, max_sweeps=max_sweeps
     )
@@ -126,7 +128,7 @@ def backfit_nw(
         intercept=ws.ybar,
         components=comps,
         bandwidths=h,
-        grid=grid,
+        grid=ws.grid,
         iterations=sweeps,
         converged=True,
         sweep_changes=changes,
@@ -139,8 +141,9 @@ def _predict_additive(intercept, components, grid, x, d):
     pts = np.atleast_2d(x)
     if pts.shape[1] != d:
         raise ValueError(f"expected points with {d} coordinates, got {pts.shape[1]}")
-    if np.any(pts < 0.0) or np.any(pts > 1.0):
-        raise ValueError("prediction points must lie in [0, 1]^d")
+    # NaN fails both comparisons, so this also rejects non-finite points.
+    if not np.all((pts >= 0.0) & (pts <= 1.0)):
+        raise ValueError("prediction points must be finite and lie in [0, 1]^d")
     out = np.full(pts.shape[0], float(intercept))
     for j in range(d):
         out += np.interp(pts[:, j], grid.points, components[j])

@@ -184,11 +184,7 @@ def _search_spec(args, data: Dataset) -> BandwidthSearchSpec:
             raise _InputError(f"cannot parse --box {args.box!r}") from None
         if not 0 < lo < hi < math.inf:
             raise _InputError("--box needs 0 < LO < HI, both finite")
-        scale = float(data.n) ** (-0.2)
-        return BandwidthSearchSpec.for_sample_size(
-            data.n, data.d, lo_factor=lo / scale, hi_factor=hi / scale,
-            num=args.candidates,
-        )
+        return BandwidthSearchSpec.in_box(lo, hi, data.d, num=args.candidates)
     return BandwidthSearchSpec.for_sample_size(data.n, data.d, num=args.candidates)
 
 
@@ -198,18 +194,16 @@ def _run_selection(args, data, grid, kernel):
     spec = _search_spec(args, data)
     method = args.method.replace("-", "_")
     _check_smoother(method, args.smoother)
-    ws = _engine.Workspace(data, grid, kernel)
+    ws = _engine.workspace_for(data, grid, kernel)
     if method == "pls":
-        sel = select_pls(data, args.smoother, spec, grid, kernel, workspace=ws)
+        sel = select_pls(data, args.smoother, spec, workspace=ws)
     elif method == "pl":
         sel = select_pl(
-            data, spec, args.mode.replace("-", "_"), grid, kernel,
-            pilot_factor=args.pilot_factor, workspace=ws,
+            data, spec, args.mode.replace("-", "_"), pilot_factor=args.pilot_factor,
+            workspace=ws,
         )
     elif method == "pl_star":
-        sel = select_pl_star(
-            data, spec, grid, kernel, pilot_factor=args.pilot_factor, workspace=ws
-        )
+        sel = select_pl_star(data, spec, pilot_factor=args.pilot_factor, workspace=ws)
     else:
         raise _InputError(f"unknown selection method {args.method!r}")
     return sel, ws

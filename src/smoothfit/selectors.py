@@ -28,6 +28,13 @@ simulation's ase1 oracle) are the same searches over the marginal local
 linear fit, which with one covariate is the backfit up to centring and
 needs no solve.
 
+Each selector runs on one workspace, which fixes the sample, the grid
+and the kernel (``_engine.workspace_for``).  ``grid`` and ``kernel``
+default to a given ``workspace``'s, else to the regular 25-point grid
+and the biweight kernel; a workspace built on other data, or on another
+grid or kernel than the ones passed, raises ValueError.  The searches
+and steps read all three from the workspace.
+
 Grid searches score candidates on the grid.  Each criterion (residual
 or true error) is a weighted mean square of a target minus the
 interpolated level curves, a quadratic form in the grid levels whose
@@ -62,7 +69,7 @@ from .criteria import (
 from .curvature import pilot_bandwidth, second_derivative
 from .data import Dataset, Grid
 from .errors import SelectorFailureError, SmoothfitError
-from .kernels import BIWEIGHT, KernelSpec
+from .kernels import KernelSpec
 
 __all__ = [
     "BandwidthSearchSpec",
@@ -146,11 +153,27 @@ class BandwidthSearchSpec:
         outer_tol: float = 1e-3,
         max_outer: int = 25,
     ) -> "BandwidthSearchSpec":
-        """Default box ``[lo_factor, hi_factor] * n**(-1/5)`` with
-        log-spaced candidates and a constant initial bandwidth (clipped
-        into the box)."""
+        """Default box ``[lo_factor, hi_factor] * n**(-1/5)``, searched as
+        ``in_box`` says."""
         scale = float(n) ** (-0.2)
-        lo, hi = lo_factor * scale, hi_factor * scale
+        return cls.in_box(
+            lo_factor * scale, hi_factor * scale, d, num, h0, outer_tol, max_outer
+        )
+
+    @classmethod
+    def in_box(
+        cls,
+        lo: float,
+        hi: float,
+        d: int,
+        num: int = 25,
+        h0: float = 0.1,
+        outer_tol: float = 1e-3,
+        max_outer: int = 25,
+    ) -> "BandwidthSearchSpec":
+        """The box ``[lo, hi]`` with ``num`` log-spaced candidates, the
+        first exactly ``lo`` and the last exactly ``hi``, and a constant
+        initial bandwidth ``h0`` clipped into the box."""
         return cls(
             candidates=np.geomspace(lo, hi, num),
             h0=np.full(d, float(np.clip(h0, lo, hi))),
@@ -412,14 +435,14 @@ class _GridScorer:
         return float(val) / self.ws.data.n
 
 
-def _pls_criterion(fits, mw, k0):
+def _pls_criterion(fits, mw):
     """Penalized residual criterion of a fit's level curves, residuals
     weighted by ``mw``."""
     ws = fits.ws
     score = _GridScorer(ws, ws.data.y, mw, fits.intercept, range(ws.data.d))
 
     def criterion(key, levels):
-        return pls(score(levels), key, k0, ws.data.n).value
+        return pls(score(levels), key, ws.kernel.k0, ws.data.n).value
 
     return criterion
 
@@ -538,12 +561,13 @@ def _grid_search(fits, criterion, spec: BandwidthSearchSpec, method: str, once=F
     return sel
 
 
-def _plug_in(data, fits, step, spec, method, mw, kernel, pilot_factor, pilot_rule):
+def _plug_in(fits, step, spec, method, mw, pilot_factor):
     """Plug-in selection: each outer iteration fits at the current
     bandwidths, freezes there the residual criterion (weighted by ``mw``,
     None for unweighted) and the curvature estimates, and takes
     ``step(h, rss, curvature, flags)`` as the next bandwidths and the
     iteration's criterion value."""
+    ws = fits.ws
 
     def update(prev, flags):
         levels = fits.fit(tuple(prev))
@@ -551,9 +575,9 @@ def _plug_in(data, fits, step, spec, method, mw, kernel, pilot_factor, pilot_rul
             raise SelectorFailureError(
                 f"backfit failed at the current iterate {prev.tolist()}"
             )
-        fitted = fits.ws.fitted_at_data(fits.intercept, levels)
-        rss_val = _mean_square(data.y - fitted, mw, data.n)
-        curv = _curvature_matrix(fits.ws, levels, prev, pilot_factor, pilot_rule, kernel)
+        fitted = ws.fitted_at_data(fits.intercept, levels)
+        rss_val = _mean_square(ws.data.y - fitted, mw, ws.data.n)
+        curv = _curvature_matrix(ws, levels, prev, pilot_factor)
         return step(prev, rss_val, curv, flags)
 
     return _outer_loop(fits, update, spec, method)
@@ -568,7 +592,7 @@ def select_pls(
     smoother: str,
     spec: BandwidthSearchSpec,
     grid: Grid | None = None,
-    kernel: KernelSpec = BIWEIGHT,
+    kernel: KernelSpec | None = None,
     weights=None,
     trim: TrimSpec | None = None,
     workspace=None,
@@ -586,20 +610,19 @@ def select_pls(
     """
     if smoother not in ("nw", "ll"):
         raise ValueError("smoother must be 'nw' or 'll'")
-    grid = grid or Grid.regular(25)
-    ws = workspace or _engine.Workspace(data, grid, kernel)
+    ws = _engine.workspace_for(data, grid, kernel, workspace)
     if trim is None and smoother == "nw":
         trim = spec.nw_trim(data.d)
     mw = _criterion_weights(weights, trim, data.x)
     fits = _FitCache(ws, smoother, fit_tol, max_sweeps)
-    return _grid_search(fits, _pls_criterion(fits, mw, kernel.k0), spec, "pls")
+    return _grid_search(fits, _pls_criterion(fits, mw), spec, "pls")
 
 
 # ---------------------------------------------------------------------------
 # plug-in on the global error expansion
 
 
-def _component_curvature(ws, j, curve, g, kernel):
+def _component_curvature(ws, j, curve, g):
     """Curvature of axis ``j``'s fitted curve at the data.
 
     A curve that is a straight line up to solver rounding has zero
@@ -613,16 +636,14 @@ def _component_curvature(ws, j, curve, g, kernel):
     line_resid = np.abs(curve - curve.mean() - slope * offset).max()
     if line_resid <= 1e-9 * max(1.0, float(np.abs(curve).max())):
         return np.zeros(ws.data.n)
-    return ws.component_at_data(j, second_derivative(curve, ws.grid, g, kernel).values)
+    values = second_derivative(curve, ws.grid, g, ws.kernel).values
+    return ws.component_at_data(j, values)
 
 
-def _curvature_matrix(ws, comps, h, pilot_factor, pilot_rule, kernel):
+def _curvature_matrix(ws, comps, h, pilot_factor):
     """Second-derivative estimates of every component at the data points."""
-    g = pilot_bandwidth(np.asarray(h), pilot_factor, pilot_rule)
-    cols = [
-        _component_curvature(ws, j, comps[j], float(g[j]), kernel)
-        for j in range(ws.data.d)
-    ]
+    g = pilot_bandwidth(np.asarray(h), pilot_factor)
+    cols = [_component_curvature(ws, j, comps[j], float(g[j])) for j in range(ws.data.d)]
     return np.column_stack(cols)
 
 
@@ -631,10 +652,9 @@ def select_pl(
     spec: BandwidthSearchSpec,
     mode: str = "full_grid",
     grid: Grid | None = None,
-    kernel: KernelSpec = BIWEIGHT,
+    kernel: KernelSpec | None = None,
     weights=None,
     pilot_factor: float = 1.5,
-    pilot_rule: str = "linear",
     workspace=None,
     fit_tol: float = _engine.DEFAULT_TOL,
     max_sweeps: int = _engine.DEFAULT_MAX_SWEEPS,
@@ -650,9 +670,8 @@ def select_pl(
     """
     if mode not in ("full_grid", "coordinate"):
         raise ValueError("mode must be 'full_grid' or 'coordinate'")
-    grid = grid or Grid.regular(25)
-    ws = workspace or _engine.Workspace(data, grid, kernel)
-    d, n = data.d, data.n
+    ws = _engine.workspace_for(data, grid, kernel, workspace)
+    d, n, kernel = data.d, data.n, ws.kernel
     cands = spec.candidates
     if mode == "full_grid" and cands.size**d > 10_000_000:
         raise ValueError("product grid too large; use mode='coordinate'")
@@ -685,15 +704,17 @@ def select_pl(
         return search(prev, rss_val, (curv * mw[:, None]).T @ curv / n)
 
     fits = _FitCache(ws, "ll", fit_tol, max_sweeps)
-    return _plug_in(data, fits, step, spec, method, mw, kernel, pilot_factor, pilot_rule)
+    return _plug_in(fits, step, spec, method, mw, pilot_factor)
 
 
 # ---------------------------------------------------------------------------
 # component-wise closed-form plug-in
 
 
-def _pl_star_step(data, spec, kernel, weights_j):
-    """The closed-form update of ``select_pl_star`` as a plug-in step."""
+def _pl_star_step(ws, spec, weights_j):
+    """The closed-form update of ``select_pl_star`` as a plug-in step on
+    the workspace's sample and kernel."""
+    data = ws.data
     wjs = [
         _weights_vector(None if weights_j is None else weights_j[j], data.x[:, j])
         for j in range(data.d)
@@ -703,7 +724,7 @@ def _pl_star_step(data, spec, kernel, weights_j):
         h = prev.copy()
         for j, wj in enumerate(wjs):
             q_jj = _mean_square(curv[:, j], wj, data.n)
-            raw = _optimal_bandwidth(data.n, rss_val, q_jj, kernel)
+            raw = _optimal_bandwidth(data.n, rss_val, q_jj, ws.kernel)
             if raw == np.inf:
                 h[j] = spec.b_hi
                 flags.append(f"axis {j}: zero curvature, clamped to box top")
@@ -721,10 +742,9 @@ def select_pl_star(
     data: Dataset,
     spec: BandwidthSearchSpec,
     grid: Grid | None = None,
-    kernel: KernelSpec = BIWEIGHT,
+    kernel: KernelSpec | None = None,
     weights_j=None,
     pilot_factor: float = 1.5,
-    pilot_rule: str = "linear",
     workspace=None,
     fit_tol: float = _engine.DEFAULT_TOL,
     max_sweeps: int = _engine.DEFAULT_MAX_SWEEPS,
@@ -741,13 +761,10 @@ def select_pl_star(
     axis to the box's upper end (flat component, widest smoothing).
     ``weights_j`` may be None or a per-axis list of weight callables.
     """
-    grid = grid or Grid.regular(25)
-    ws = workspace or _engine.Workspace(data, grid, kernel)
+    ws = _engine.workspace_for(data, grid, kernel, workspace)
     fits = _FitCache(ws, "ll", fit_tol, max_sweeps)
-    step = _pl_star_step(data, spec, kernel, weights_j)
-    return _plug_in(
-        data, fits, step, spec, "pl_star", None, kernel, pilot_factor, pilot_rule
-    )
+    step = _pl_star_step(ws, spec, weights_j)
+    return _plug_in(fits, step, spec, "pl_star", None, pilot_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -759,9 +776,8 @@ def select_single(
     method: str,
     spec: BandwidthSearchSpec,
     grid: Grid | None = None,
-    kernel: KernelSpec = BIWEIGHT,
+    kernel: KernelSpec | None = None,
     pilot_factor: float = 1.5,
-    pilot_rule: str = "linear",
     workspace=None,
 ) -> SelectionResult:
     """Single-covariate selectors built on the plain local linear fit.
@@ -776,13 +792,11 @@ def select_single(
         raise ValueError("single-covariate selection needs d = 1")
     if method not in ("pls1", "pl1"):
         raise ValueError("method must be 'pls1' or 'pl1'")
-    grid = grid or Grid.regular(25)
-    fits = _MarginalFit(workspace or _engine.Workspace(data, grid, kernel))
+    fits = _MarginalFit(_engine.workspace_for(data, grid, kernel, workspace))
     if method == "pls1":
-        criterion = _pls_criterion(fits, None, kernel.k0)
-        return _grid_search(fits, criterion, spec, "pls1", once=True)
-    step = _pl_star_step(data, spec, kernel, None)
-    return _plug_in(data, fits, step, spec, "pl1", None, kernel, pilot_factor, pilot_rule)
+        return _grid_search(fits, _pls_criterion(fits, None), spec, "pls1", once=True)
+    step = _pl_star_step(fits.ws, spec, None)
+    return _plug_in(fits, step, spec, "pl1", None, pilot_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +812,7 @@ def oracle_ase_bandwidth(
     component: int | None = None,
     component_truth=None,
     grid: Grid | None = None,
-    kernel: KernelSpec = BIWEIGHT,
+    kernel: KernelSpec | None = None,
     weights=None,
     trim: TrimSpec | None = None,
     workspace=None,
@@ -819,8 +833,7 @@ def oracle_ase_bandwidth(
         raise ValueError("criterion must be 'ase' or 'ase_j'")
     if criterion == "ase_j" and (component is None or component_truth is None):
         raise ValueError("ase_j needs a component index and its centered truth")
-    grid = grid or Grid.regular(25)
-    ws = workspace or _engine.Workspace(data, grid, kernel)
+    ws = _engine.workspace_for(data, grid, kernel, workspace)
     if trim is None and smoother == "nw":
         trim = spec.nw_trim(data.d)
     mw = _criterion_weights(weights, trim, data.x)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ctypes
 import json
+import numbers
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -91,6 +92,11 @@ class SimConfig:
     def __post_init__(self):
         if self.model not in _MODEL_COMPONENTS:
             raise ValueError(f"unknown model {self.model!r}")
+        _engine.check_count("n", self.n)
+        _engine.check_count("replicates", self.replicates)
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         if self.n < 20:
             raise ValueError("need a sample size of at least 20")
         if not abs(self.rho) < 1:
@@ -101,8 +107,6 @@ class SimConfig:
             raise ValueError("covariate variance must be positive and finite")
         # A bad pilot factor fails here rather than in every replicate.
         pilot_bandwidth(1.0, self.pilot_factor)
-        if self.replicates < 1:
-            raise ValueError("need at least one replicate")
         if self.smoother not in ("nw", "ll"):
             raise ValueError("smoother must be 'nw' or 'll'")
         valid = _MULTI_SELECTORS if self.d > 1 else _SINGLE_SELECTORS
@@ -253,36 +257,29 @@ def _select_ase1(data, truth, spec, ws):
     return _grid_search(fits, criterion, spec, "ase1", once=True)
 
 
-def _run_selector(name, data, truth, config, spec, grid, kernel, ws):
+def _run_selector(name, data, truth, config, spec, ws):
     if name == "pls":
         return select_pls(
-            data, config.smoother, spec, grid, kernel, workspace=ws,
-            fit_tol=config.fit_tol,
+            data, config.smoother, spec, workspace=ws, fit_tol=config.fit_tol
         )
-    if name == "pl":
+    if name == "pl" or name == "pl_coord":
         return select_pl(
-            data, spec, "full_grid", grid, kernel,
-            pilot_factor=config.pilot_factor, workspace=ws, fit_tol=config.fit_tol,
-        )
-    if name == "pl_coord":
-        return select_pl(
-            data, spec, "coordinate", grid, kernel,
+            data, spec, "full_grid" if name == "pl" else "coordinate",
             pilot_factor=config.pilot_factor, workspace=ws, fit_tol=config.fit_tol,
         )
     if name == "pl_star":
         return select_pl_star(
-            data, spec, grid, kernel,
-            pilot_factor=config.pilot_factor, workspace=ws, fit_tol=config.fit_tol,
+            data, spec, pilot_factor=config.pilot_factor, workspace=ws,
+            fit_tol=config.fit_tol,
         )
     if name == "ase":
         return oracle_ase_bandwidth(
-            data, truth.total, config.smoother, spec, grid=grid, kernel=kernel,
-            workspace=ws, fit_tol=config.fit_tol,
+            data, truth.total, config.smoother, spec, workspace=ws,
+            fit_tol=config.fit_tol,
         )
     if name == "pls1" or name == "pl1":
         return select_single(
-            data, name, spec, grid, kernel, pilot_factor=config.pilot_factor,
-            workspace=ws,
+            data, name, spec, pilot_factor=config.pilot_factor, workspace=ws
         )
     if name == "ase1":
         return _select_ase1(data, truth, spec, ws)
@@ -298,15 +295,15 @@ def _marginal_ase1(data, truth, h, ws):
 
 def _run_replicate(config: SimConfig, replicate: int) -> dict:
     data, truth = generate(config, replicate)
-    grid = Grid.regular(config.grid_size)
-    kernel = get_kernel(config.kernel)
     spec = config.search_spec()
-    ws = _engine.Workspace(data, grid, kernel)
+    ws = _engine.workspace_for(
+        data, Grid.regular(config.grid_size), get_kernel(config.kernel)
+    )
     record = {"replicate": replicate, "selectors": {}, "failures": {}}
     single = config.d == 1
     for name in config.selectors:
         try:
-            sel = _run_selector(name, data, truth, config, spec, grid, kernel, ws)
+            sel = _run_selector(name, data, truth, config, spec, ws)
         except SmoothfitError as err:
             record["failures"][name] = str(err)
             continue
@@ -319,16 +316,8 @@ def _run_replicate(config: SimConfig, replicate: int) -> dict:
             entry["ase_j"] = [_marginal_ase1(data, truth, sel.bandwidths[0], ws)]
             entry["ase"] = entry["ase_j"][0]
         else:
-            if config.smoother == "ll":
-                fit = backfit_ll(
-                    data, sel.bandwidths, grid, kernel, tol=config.fit_tol,
-                    workspace=ws,
-                )
-            else:
-                fit = backfit_nw(
-                    data, sel.bandwidths, grid, kernel, tol=config.fit_tol,
-                    workspace=ws,
-                )
+            backfit = backfit_ll if config.smoother == "ll" else backfit_nw
+            fit = backfit(data, sel.bandwidths, tol=config.fit_tol, workspace=ws)
             entry["ase"] = ase(data, fit, truth.total).value
             entry["ase_j"] = [
                 ase_j(data, fit, j, truth.centered_component(j)).value

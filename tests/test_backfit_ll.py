@@ -165,3 +165,13 @@ class TestPredictLL:
     def test_domain_error(self, fit):
         with pytest.raises(ValueError):
             predict_ll(fit, np.array([-0.1, 0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_are_rejected(self, fit, bad):
+        # NaN used to pass the domain test and predict NaN.
+        with pytest.raises(ValueError, match="finite"):
+            predict_ll(fit, np.array([bad, 0.5]))
+        pts = np.random.default_rng(4).uniform(0, 1, (6, 2))
+        pts[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            predict_ll(fit, pts)

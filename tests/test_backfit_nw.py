@@ -172,6 +172,16 @@ class TestPredictNW:
         with pytest.raises(ValueError):
             predict_nw(fit, np.array([1.2, 0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_are_rejected(self, fit, bad):
+        # NaN used to pass the domain test and predict NaN.
+        with pytest.raises(ValueError, match="finite"):
+            predict_nw(fit, np.array([bad, 0.5]))
+        pts = np.random.default_rng(4).uniform(0, 1, (6, 2))
+        pts[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            predict_nw(fit, pts)
+
     def test_batch_shape(self, fit):
         pts = np.random.default_rng(2).uniform(0, 1, (7, 2))
         assert predict_nw(fit, pts).shape == (7,)

@@ -419,6 +419,21 @@ class TestReadCsv:
         assert main(["fit", str(path), "--h", "0.2,0.2"]) == 2
 
 
+class TestSearchBox:
+    @pytest.mark.parametrize("box, h0", [("0.05,0.3", 0.1), ("0.2,0.5", 0.2)])
+    def test_candidates_start_and_end_on_the_box(self, box, h0):
+        # At n = 20000 the box used to round-trip through factors of
+        # n^(-1/5) and end at 0.30000000000000004.
+        rng = np.random.default_rng(3)
+        data = cli.Dataset(x=rng.uniform(0, 1, (20000, 2)), y=np.zeros(20000))
+        args = cli.build_parser().parse_args(["select", "in.csv", "--box", box])
+        spec = cli._search_spec(args, data)
+        lo, hi = (float(c) for c in box.split(","))
+        assert spec.candidates[0] == lo and spec.candidates[-1] == hi
+        assert spec.candidates.size == 25
+        np.testing.assert_array_equal(spec.h0, [h0, h0])
+
+
 class TestNonFiniteOptions:
     def test_box_with_infinite_end_exits_2(self, csv3, capsys):
         assert main(["select", csv3, "--box", "0.05,inf"]) == 2
@@ -439,6 +454,11 @@ class TestNonFiniteOptions:
     def test_non_finite_pilot_factor_exits_2_on_simulate(self, value):
         assert main(["simulate", "--model", "m2", "--n", "50", "--reps", "1",
                      "--pilot-factor", value]) == 2
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["simulate", "--model", "m2", "--n", "50", "--reps", "1",
+                     "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_covariate_variance_exits_2(self, value):

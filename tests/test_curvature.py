@@ -182,8 +182,8 @@ def _ref_second_derivative(curve, grid, g, kernel=BIWEIGHT):
     )
 
 
-def _ref_component_curvature(ws, j, curve, g, kernel):
-    grid, x = ws.grid, ws.data.x[:, j]
+def _ref_component_curvature(ws, j, curve, g):
+    grid, x, kernel = ws.grid, ws.data.x[:, j], ws.kernel
     design = np.column_stack([np.ones(grid.size), grid.points])
     coef, *_ = np.linalg.lstsq(design, curve, rcond=None)
     line_resid = np.abs(curve - design @ coef).max()
@@ -251,8 +251,8 @@ class TestAgainstReference:
         cases = [0.4 + 2.0 * t, 3.0 - t + 1e-13 * rng.normal(size=25),
                  1e5 * t, t + 1e-6 * t**2, np.zeros(25), t**2]
         for curve in cases:
-            new = _component_curvature(ws, 0, curve, 0.2, BIWEIGHT)
-            ref = _ref_component_curvature(ws, 0, curve, 0.2, BIWEIGHT)
+            new = _component_curvature(ws, 0, curve, 0.2)
+            ref = _ref_component_curvature(ws, 0, curve, 0.2)
             assert (np.abs(new).max() == 0.0) == (np.abs(ref).max() == 0.0)
             # Rounding in the estimate scales with the curve, so a faint
             # curvature on a large line is compared on the curve's scale.

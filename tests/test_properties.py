@@ -32,6 +32,7 @@ from smoothfit import (
     select_pl,
     selectors,
 )
+from smoothfit._engine import Workspace
 from smoothfit.criteria import _expansion, _mean_square, _optimal_bandwidth
 
 GRID = Grid.regular(25)
@@ -147,7 +148,8 @@ def test_pl_star_step_is_the_optimal_bandwidth(seed, d):
     curv = rng.normal(0.0, rng.uniform(0.01, 50.0), (n, d))
     rss = float(rng.uniform(1e-4, 1.0))
     flags = []
-    h, crit = selectors._pl_star_step(data, spec, BIWEIGHT, None)(spec.h0, rss, curv, flags)
+    ws = Workspace(data, GRID, BIWEIGHT)
+    h, crit = selectors._pl_star_step(ws, spec, None)(spec.h0, rss, curv, flags)
     assert crit == rss
     for j in range(d):
         q_jj = _mean_square(curv[:, j], np.ones(n), n)

@@ -5,11 +5,13 @@ import pytest
 
 from smoothfit import (
     BIWEIGHT,
+    EPANECHNIKOV,
     BandwidthSearchSpec,
     Dataset,
     Grid,
     ase,
     backfit_ll,
+    backfit_nw,
     marginal_ll,
     oracle_ase_bandwidth,
     pls,
@@ -20,6 +22,7 @@ from smoothfit import (
     select_single,
     theoretical_hstar,
 )
+from smoothfit import _engine
 from smoothfit._engine import Workspace
 from smoothfit.errors import SelectorFailureError
 from smoothfit.simulate import SimConfig, _select_ase1, generate
@@ -224,7 +227,7 @@ class TestSelectPL:
         ws = Workspace(dataset2, grid25, BIWEIGHT)
         fit = backfit_ll(dataset2, prev_h, grid25, workspace=ws, tol=1e-11)
         rss_val = rss(dataset2, fit).value
-        curv = _curvature_matrix(ws, fit.components, prev_h, 1.5, "linear", BIWEIGHT)
+        curv = _curvature_matrix(ws, fit.components, prev_h, 1.5)
         direct = aase_hat(dataset2, rss_val, curv, sel.bandwidths, BIWEIGHT)
         assert sel.criterion == pytest.approx(direct.value, rel=1e-8)
 
@@ -408,6 +411,78 @@ def test_h0_of_the_wrong_length_is_rejected_before_any_fit(grid25, name, extra):
     with pytest.raises(ValueError, match=f"h0 holds {d + extra} bandwidths for {d}"):
         _SELECTORS[name](data, spec, ws)
     assert not ws._axes and not ws._fits
+
+
+# Every public entry point that takes a workspace, as (data, spec, **kw).
+_ENTRY_POINTS = {
+    "select_pls": lambda data, spec, **kw: select_pls(data, "ll", spec, **kw),
+    "select_pl": lambda data, spec, **kw: select_pl(data, spec, **kw),
+    "select_pl_star": lambda data, spec, **kw: select_pl_star(data, spec, **kw),
+    "select_single": lambda data, spec, **kw: select_single(data, "pl1", spec, **kw),
+    "oracle_ase_bandwidth": lambda data, spec, **kw: oracle_ase_bandwidth(
+        data, lambda x: x.sum(axis=1), "ll", spec, **kw
+    ),
+    "backfit_nw": lambda data, spec, **kw: backfit_nw(data, spec.h0, **kw),
+    "backfit_ll": lambda data, spec, **kw: backfit_ll(data, spec.h0, **kw),
+}
+
+
+@pytest.mark.parametrize("mismatch, message", [
+    ("data", "built on other data"),
+    ("grid", "grid of 15 points differs from the workspace's 25-point grid"),
+    ("kernel", "kernel 'epanechnikov' differs from the workspace's 'biweight'"),
+])
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_a_workspace_on_another_sample_grid_or_kernel_is_rejected(name, mismatch, message):
+    # A workspace fixes the sample, grid and kernel that a fit runs on.
+    # Taken with another sample, a selection fitted one sample and scored
+    # with the other's weights; with another grid, a backfit labelled the
+    # workspace's curves with the grid passed; with another kernel, fits
+    # ran on the workspace's kernel under the other's constants.
+    d = 1 if name == "select_single" else 2
+    data = make_additive_dataset(seed=45, n=80, d=d)
+    other = make_additive_dataset(seed=46, n=80, d=d)
+    spec = BandwidthSearchSpec.for_sample_size(data.n, d)
+    ws = Workspace(other if mismatch == "data" else data, Grid.regular(25), BIWEIGHT)
+    kw = {"grid": {"grid": Grid.regular(15)}, "kernel": {"kernel": EPANECHNIKOV}}
+    with pytest.raises(ValueError, match=message):
+        _ENTRY_POINTS[name](data, spec, workspace=ws, **kw.get(mismatch, {}))
+    assert not ws._axes and not ws._fits
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_an_equal_sample_grid_and_kernel_share_the_workspace(name):
+    # The sample, grid and kernel need only be equal, not the same
+    # objects; without them, the grid and kernel are the workspace's.
+    d = 1 if name == "select_single" else 2
+    data = make_additive_dataset(seed=47, n=100, d=d)
+    twin = Dataset(x=data.x.copy(), y=data.y.copy())
+    spec = BandwidthSearchSpec.for_sample_size(data.n, d, max_outer=4)
+    run = _ENTRY_POINTS[name]
+    alone = run(twin, spec, grid=Grid.regular(21), kernel=EPANECHNIKOV)
+    ws = Workspace(data, Grid.regular(21), EPANECHNIKOV)
+    for kw in ({}, {"grid": Grid.regular(21), "kernel": EPANECHNIKOV}):
+        shared = run(twin, spec, workspace=ws, **kw)
+        if name.startswith("backfit"):
+            assert shared.grid is ws.grid
+            assert shared.components.tobytes() == alone.components.tobytes()
+        else:
+            assert shared.bandwidths.tobytes() == alone.bandwidths.tobytes()
+            assert shared.criterion == alone.criterion
+    assert ws._axes
+
+
+def test_without_a_workspace_the_grid_and_kernel_default_to_25_points_and_biweight():
+    data = make_additive_dataset(seed=48, n=60, d=2)
+    ws = _engine.workspace_for(data)
+    assert ws.data is data and ws.kernel is BIWEIGHT
+    np.testing.assert_array_equal(ws.grid.points, Grid.regular(25).points)
+    assert _engine.workspace_for(data, ws.grid, BIWEIGHT, ws) is ws
+    fit = backfit_ll(data, [0.3, 0.3])
+    assert fit.grid.size == 25
+    np.testing.assert_array_equal(
+        fit.components, backfit_ll(data, [0.3, 0.3], Grid.regular(25), BIWEIGHT).components
+    )
 
 
 class TestTheoreticalHstar:

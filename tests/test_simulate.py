@@ -123,6 +123,17 @@ class TestSimConfig:
             with pytest.raises(ValueError, match="workers"):
                 SimConfig(model="m1", n=100, workers=bad)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("n", 50.5), ("n", np.float64(100.0)), ("n", True),
+        ("replicates", 2.5), ("replicates", 0),
+        ("seed", 1.5), ("seed", -1), ("seed", True),
+    ])
+    def test_counts_and_seed_are_checked_when_built(self, field, bad):
+        # A non-integer count or seed, or a negative seed, fails here, not
+        # inside numpy once the study runs.
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SimConfig(**{"model": "m2", "n": 50, field: bad})
+
     def test_default_selectors(self):
         assert SimConfig(model="m1", n=100).selectors == (
             "ase", "pls", "pl", "pl_star",
