@@ -683,11 +683,16 @@ def workspace_for(
             f"grid of {grid.size} points differs from the workspace's "
             f"{ws.grid.size}-point grid"
         )
-    if kernel is not None and kernel != ws.kernel:
-        raise ValueError(
-            f"kernel {kernel.name!r} differs from the workspace's {ws.kernel.name!r}"
-        )
+    own_kernel(kernel, ws.kernel, "workspace")
     return ws
+
+
+def own_kernel(kernel: KernelSpec | None, own: KernelSpec, owner: str) -> KernelSpec:
+    """``own``, the kernel of a workspace or fit (``owner``), once
+    ``kernel`` is None or equal to it; otherwise this raises ValueError."""
+    if kernel is not None and kernel != own:
+        raise ValueError(f"kernel {kernel.name!r} differs from the {owner}'s {own.name!r}")
+    return own
 
 
 # -- solvers ----------------------------------------------------------------

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import _engine
 from .data import Dataset, Grid
-from .density import cross_moments, local_moments
+from .density import _check_axis, cross_moments, local_moments, weight_matrix
 from .kernels import BIWEIGHT, KernelSpec
-from .backfit_nw import _predict_additive
+from .backfit_nw import _backfit, _predict_additive
 
 __all__ = [
     "AdditiveFitLL",
@@ -36,7 +36,8 @@ class AdditiveFitLL:
     ``components`` holds the level curves, ``slopes`` the derivative
     curves, both of shape (d, grid size).  Levels are normalized so the
     norming functional of every axis vanishes and the intercept is the
-    sample mean of the response.
+    sample mean of the response.  ``kernel`` is the kernel the fit was
+    solved with.
     """
 
     intercept: float
@@ -47,6 +48,7 @@ class AdditiveFitLL:
     iterations: int
     converged: bool
     sweep_changes: list = field(repr=False, default_factory=list)
+    kernel: KernelSpec = BIWEIGHT
 
     def predict(self, x) -> np.ndarray:
         return predict_ll(self, x)
@@ -62,14 +64,16 @@ def marginal_ll(
 
     Raises
     ------
+    ValueError
+        If ``j`` is out of range, or ``h`` is not finite and positive.
     EmptyNeighborhoodError
         If a grid point has no observation within ``h`` (its moment
         matrix is zero), or an observation has no grid mass.
     SingularMomentError
         If a local moment matrix is singular beyond the ridge.
     """
-    ws = _engine.Workspace(data, grid, kernel)
-    levels, slopes = ws.ll_marginal(j, h)
+    _check_axis(data, j)
+    levels, slopes = _engine.workspace_for(data, grid, kernel).ll_marginal(j, h)
     return levels.copy(), slopes.copy()
 
 
@@ -95,9 +99,10 @@ def backfit_ll(
     Raises
     ------
     ValueError
-        If ``tol`` is not finite and positive, ``max_sweeps`` is not an
-        integer of at least 1, or ``workspace`` was built on other data
-        or on another grid or kernel than the ones passed.
+        If a bandwidth (InvalidBandwidthError) or ``tol`` is not finite
+        and positive, ``max_sweeps`` is not an integer of at least 1, or
+        ``workspace`` was built on other data or on another grid or
+        kernel than the ones passed.
     NonConvergenceError
         With the last sup-norm change attached, if sweeps run out.
     EmptyNeighborhoodError
@@ -106,25 +111,7 @@ def backfit_ll(
     SingularMomentError
         If a local moment matrix is singular beyond the ridge.
     """
-    h = np.asarray(h, dtype=float).ravel()
-    if h.size != data.d:
-        raise ValueError(f"need {data.d} bandwidths, got {h.size}")
-    _engine.check_tolerance("tol", tol)
-    _engine.check_count("max_sweeps", max_sweeps)
-    ws = _engine.workspace_for(data, grid, kernel, workspace)
-    comps, slopes, sweeps, changes = _engine.ll_solve(
-        ws, h, init=init, tol=tol, max_sweeps=max_sweeps
-    )
-    return AdditiveFitLL(
-        intercept=ws.ybar,
-        components=comps,
-        slopes=slopes,
-        bandwidths=h,
-        grid=ws.grid,
-        iterations=sweeps,
-        converged=True,
-        sweep_changes=changes,
-    )
+    return _backfit(AdditiveFitLL, "ll", data, h, grid, kernel, tol, max_sweeps, workspace, init)
 
 
 def predict_ll(fit: AdditiveFitLL, x):
@@ -133,20 +120,20 @@ def predict_ll(fit: AdditiveFitLL, x):
     Uses the level curves only; slopes describe derivatives and do not
     enter prediction.
     """
-    return _predict_additive(
-        fit.intercept, fit.components, fit.grid, x, fit.components.shape[0]
-    )
+    return _predict_additive(fit, x)
 
 
 def fixed_point_residual_ll(
-    data: Dataset, fit: AdditiveFitLL, kernel: KernelSpec = BIWEIGHT
+    data: Dataset, fit: AdditiveFitLL, kernel: KernelSpec | None = None
 ) -> float:
     """Sup-norm residual of the local linear fixed-point system.
 
     Rebuilds the right-hand side from the density module (marginal local
     moments and cross-moment surfaces), which is an independent path
     from the cached solver, and compares against the stored curves.
+    ``kernel`` defaults to the fit's; another one raises ValueError.
     """
+    kernel = _engine.own_kernel(kernel, fit.kernel, "fit")
     grid = fit.grid
     tau = grid.weights
     d = data.d
@@ -155,8 +142,7 @@ def fixed_point_residual_ll(
     for j in range(d):
         mom = local_moments(data, j, h[j], grid, kernel)
         i11, i12, i22 = _engine._ridged_inverse(mom.m00, mom.m01, mom.m11, j, grid.points)
-        raw = kernel.fn((data.x[:, j][None, :] - grid.points[:, None]) / h[j])
-        w = raw / (tau @ raw)
+        w = weight_matrix(kernel, h[j], grid, data.x[:, j])
         b = w * (data.x[:, j][None, :] - grid.points[:, None])
         a0 = w @ data.y / data.n
         a1 = b @ data.y / data.n

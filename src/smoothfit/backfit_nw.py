@@ -15,8 +15,8 @@ import numpy as np
 
 from . import _engine
 from .data import Dataset, Grid
-from .density import marginal_density, pair_density
-from .kernels import BIWEIGHT, KernelSpec
+from .density import _check_axis, marginal_density, pair_density, weight_matrix
+from .kernels import BIWEIGHT, KernelSpec, check_bandwidth
 
 __all__ = [
     "AdditiveFitNW",
@@ -44,6 +44,8 @@ class AdditiveFitNW:
     converged : bool
     sweep_changes : list[float]
         Sup-norm change after each sweep.
+    kernel : KernelSpec
+        The kernel the fit was solved with.
     """
 
     intercept: float
@@ -53,6 +55,7 @@ class AdditiveFitNW:
     iterations: int
     converged: bool
     sweep_changes: list = field(repr=False, default_factory=list)
+    kernel: KernelSpec = BIWEIGHT
 
     def predict(self, x) -> np.ndarray:
         return predict_nw(self, x)
@@ -67,11 +70,14 @@ def marginal_nw(
 
     Raises
     ------
+    ValueError
+        If ``j`` is out of range, or ``h`` is not finite and positive.
     EmptyNeighborhoodError
         If the marginal density vanishes at some grid point (no
         observation within ``h``), or an observation has no grid mass.
     """
-    axis = _engine.Workspace(data, grid, kernel).axis(j, h)
+    _check_axis(data, j)
+    axis = _engine.workspace_for(data, grid, kernel).axis(j, h)
     return axis.a0 / axis.p
 
 
@@ -105,9 +111,10 @@ def backfit_nw(
     Raises
     ------
     ValueError
-        If ``tol`` is not finite and positive, ``max_sweeps`` is not an
-        integer of at least 1, or ``workspace`` was built on other data
-        or on another grid or kernel than the ones passed.
+        If a bandwidth (InvalidBandwidthError) or ``tol`` is not finite
+        and positive, ``max_sweeps`` is not an integer of at least 1, or
+        ``workspace`` was built on other data or on another grid or
+        kernel than the ones passed.
     NonConvergenceError
         If ``max_sweeps`` sweeps do not reach ``tol``; carries the last
         sup-norm change.
@@ -115,27 +122,28 @@ def backfit_nw(
         If some marginal density vanishes on the grid, or an observation
         has no grid mass.
     """
+    return _backfit(AdditiveFitNW, "nw", data, h, grid, kernel, tol, max_sweeps, workspace, init)
+
+
+def _backfit(fit_type, smoother, data, h, grid, kernel, tol, max_sweeps, workspace, init):
+    """``backfit_nw`` or ``backfit_ll`` (``smoother`` "nw" or "ll"), recording
+    the workspace's grid and kernel.  The solver is looked up on ``_engine``
+    at each call, so that a wrapper put in its place sees every backfit."""
     h = np.asarray(h, dtype=float).ravel()
     if h.size != data.d:
         raise ValueError(f"need {data.d} bandwidths, got {h.size}")
+    for hj in h.tolist():
+        check_bandwidth(hj)
     _engine.check_tolerance("tol", tol)
     _engine.check_count("max_sweeps", max_sweeps)
     ws = _engine.workspace_for(data, grid, kernel, workspace)
-    comps, sweeps, changes = _engine.nw_solve(
-        ws, h, init=init, tol=tol, max_sweeps=max_sweeps
-    )
-    return AdditiveFitNW(
-        intercept=ws.ybar,
-        components=comps,
-        bandwidths=h,
-        grid=ws.grid,
-        iterations=sweeps,
-        converged=True,
-        sweep_changes=changes,
-    )
+    solve = getattr(_engine, f"{smoother}_solve")
+    *curves, sweeps, changes = solve(ws, h, init=init, tol=tol, max_sweeps=max_sweeps)
+    return fit_type(ws.ybar, *curves, h, ws.grid, sweeps, True, changes, ws.kernel)
 
 
-def _predict_additive(intercept, components, grid, x, d):
+def _predict_additive(fit, x):
+    d = fit.components.shape[0]
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
     pts = np.atleast_2d(x)
@@ -144,9 +152,9 @@ def _predict_additive(intercept, components, grid, x, d):
     # NaN fails both comparisons, so this also rejects non-finite points.
     if not np.all((pts >= 0.0) & (pts <= 1.0)):
         raise ValueError("prediction points must be finite and lie in [0, 1]^d")
-    out = np.full(pts.shape[0], float(intercept))
+    out = np.full(pts.shape[0], float(fit.intercept))
     for j in range(d):
-        out += np.interp(pts[:, j], grid.points, components[j])
+        out += np.interp(pts[:, j], fit.grid.points, fit.components[j])
     return float(out[0]) if squeeze else out
 
 
@@ -155,20 +163,20 @@ def predict_nw(fit: AdditiveFitNW, x):
 
     ``x`` may be a single point of shape (d,) or a batch (m, d).
     """
-    return _predict_additive(
-        fit.intercept, fit.components, fit.grid, x, fit.components.shape[0]
-    )
+    return _predict_additive(fit, x)
 
 
 def fixed_point_residual_nw(
-    data: Dataset, fit: AdditiveFitNW, kernel: KernelSpec = BIWEIGHT
+    data: Dataset, fit: AdditiveFitNW, kernel: KernelSpec | None = None
 ) -> float:
     """Sup-norm residual of the backfitting fixed-point system.
 
     Recomputes the right-hand side of the component equations from the
     density module (an independent code path from the solver) and
     returns the largest absolute deviation from the stored components.
+    ``kernel`` defaults to the fit's; another one raises ValueError.
     """
+    kernel = _engine.own_kernel(kernel, fit.kernel, "fit")
     grid = fit.grid
     tau = grid.weights
     d = data.d
@@ -176,9 +184,7 @@ def fixed_point_residual_nw(
     resid = 0.0
     for j in range(d):
         pj = marginal_density(data, j, h[j], grid, kernel).values
-        # marginal fit recomputed from raw kernel weights, grid-normalized
-        raw = kernel.fn((data.x[:, j][None, :] - grid.points[:, None]) / h[j])
-        w = raw / (tau @ raw)
+        w = weight_matrix(kernel, h[j], grid, data.x[:, j])
         mtilde = (w @ data.y) / w.sum(axis=1)
         rhs = mtilde - fit.intercept
         for k in range(d):

@@ -17,7 +17,7 @@ import numpy as np
 from ._engine import _RIDGE_SCALE, _SING_RTOL
 from .data import Grid
 from .errors import SingularMomentError
-from .kernels import BIWEIGHT, KernelSpec
+from .kernels import BIWEIGHT, KernelSpec, check_bandwidth
 
 __all__ = [
     "CurvatureCurve",
@@ -110,8 +110,7 @@ def second_derivative(
     curve = np.asarray(curve, dtype=float).ravel()
     if curve.size != grid.size:
         raise ValueError("curve and grid sizes disagree")
-    if g <= 0:
-        raise ValueError("pilot bandwidth must be positive")
+    check_bandwidth(g)
     pts = grid.points
     # Row a holds the fit at node a: the offsets of every node scaled by
     # the row's bandwidth, and their trapezoid-weighted kernel weights.

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, Grid
-from .errors import EmptyNeighborhoodError, InvalidBandwidthError
-from .kernels import KernelSpec
+from .errors import EmptyNeighborhoodError
+from .kernels import KernelSpec, check_bandwidth
 
 __all__ = [
     "DensityCurve",
@@ -111,7 +111,7 @@ def weight_matrix(kernel: KernelSpec, h: float, grid: Grid, x: np.ndarray) -> np
     Raises
     ------
     InvalidBandwidthError
-        If ``h`` is not a positive scalar.
+        If ``h`` is not a finite positive scalar.
     EmptyNeighborhoodError
         If some observation is farther than ``h`` from every grid point,
         so no grid mass covers it.
@@ -133,8 +133,7 @@ def _band_weights(kernel, h, grid, x, width, runs, rank=None, out=None):
     order), so that an empty neighborhood is reported at the first such
     observation in input order.  Raises as ``weight_matrix``.
     """
-    if not np.isscalar(h) or h <= 0:
-        raise InvalidBandwidthError(f"bandwidth must be a positive scalar, got {h!r}")
+    check_bandwidth(h)
     offset = np.empty((width, x.size))
     for first, start, stop in runs:
         np.subtract(x[start:stop], grid.points[first : first + width, None],

@@ -192,6 +192,12 @@ def kernel_moments(kernel: KernelSpec) -> dict:
     return {"k0": kernel.k0, "r_k": kernel.r_k, "mu2": kernel.mu2}
 
 
+def check_bandwidth(h) -> None:
+    """Reject a bandwidth unless it is a scalar with ``0 < h < inf``."""
+    if not np.isscalar(h) or not 0 < h < np.inf:
+        raise InvalidBandwidthError(f"bandwidth must be finite and positive, got {h!r}")
+
+
 def boundary_weight(kernel: KernelSpec, h: float, u, v):
     """Kernel weight at grid point ``u`` for data point ``v``, renormalized
     so it integrates to one in ``u`` over the unit interval.
@@ -205,7 +211,7 @@ def boundary_weight(kernel: KernelSpec, h: float, u, v):
     ----------
     kernel : KernelSpec
     h : float
-        Bandwidth, must be positive.
+        Bandwidth, must be finite and positive.
     u, v : float or ndarray
         Grid point(s) and data point(s) in ``[0, 1]``.  Broadcast together.
 
@@ -215,8 +221,7 @@ def boundary_weight(kernel: KernelSpec, h: float, u, v):
         Nonnegative weight; zero when the kernel support does not reach
         ``u``, or when it places no mass on ``[0, 1]`` at all.
     """
-    if not np.isscalar(h) or h <= 0:
-        raise InvalidBandwidthError(f"bandwidth must be a positive scalar, got {h!r}")
+    check_bandwidth(h)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if np.any(u < 0) or np.any(u > 1) or np.any(v < 0) or np.any(v > 1):

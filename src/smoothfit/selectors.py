@@ -281,19 +281,14 @@ class _FitCache:
         """(levels,) for NW or (levels, slopes) for LL at ``key``, or None
         when the backfit fails."""
         init, start = self._warm_start(key)
+        if init is not None and self.smoother == "nw":
+            init = init[0]
+        solve = getattr(_engine, f"{self.smoother}_solve")
         try:
-            if self.smoother == "nw":
-                warm = None if init is None else init[0]
-                levels, _, _ = _engine.nw_solve(
-                    self.ws, key, warm, self.tol, self.max_sweeps, start_axis=start
-                )
-                return (levels,)
-            levels, slopes, _, _ = _engine.ll_solve(
-                self.ws, key, init, self.tol, self.max_sweeps, start_axis=start
-            )
-            return levels, slopes
+            *curves, _, _ = solve(self.ws, key, init, self.tol, self.max_sweeps, start_axis=start)
         except SmoothfitError:
             return None
+        return tuple(curves)
 
     def _warm_start(self, key):
         """The warm start for ``key`` (None for a cold start) and the axis

@@ -92,11 +92,15 @@ class SimConfig:
     def __post_init__(self):
         if self.model not in _MODEL_COMPONENTS:
             raise ValueError(f"unknown model {self.model!r}")
-        _engine.check_count("n", self.n)
-        _engine.check_count("replicates", self.replicates)
+        # Stored as int, so that ``asdict`` gives JSON-ready values.
+        for name in ("n", "replicates", "grid_size", "search_num", "max_outer", "workers"):
+            _engine.check_count(name, getattr(self, name))
+            object.__setattr__(self, name, int(getattr(self, name)))
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        object.__setattr__(self, "seed", int(seed))
+        Grid.regular(self.grid_size)
         if self.n < 20:
             raise ValueError("need a sample size of at least 20")
         if not abs(self.rho) < 1:
@@ -129,7 +133,6 @@ class SimConfig:
             _check_smoother(name, self.smoother)
         object.__setattr__(self, "selectors", chosen)
         _engine.check_tolerance("fit_tol", self.fit_tol)
-        _engine.check_count("workers", self.workers)
         # A bad search box or outer-loop control fails here rather than
         # in every replicate.
         self.search_spec()

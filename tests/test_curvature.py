@@ -70,8 +70,9 @@ class TestSecondDerivative:
             second_derivative(np.zeros(10), grid25, 0.1)
 
     def test_positive_pilot_required(self, grid25):
-        with pytest.raises(ValueError):
-            second_derivative(np.zeros(25), grid25, 0.0)
+        for g in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                second_derivative(np.zeros(25), grid25, g)
 
 
 class TestEquivalentKernel:

@@ -70,8 +70,9 @@ class TestWeightMatrix:
         np.testing.assert_allclose(grid25.weights @ w, 1.0, atol=1e-13)
 
     def test_bandwidth_validation(self, grid25):
-        with pytest.raises(InvalidBandwidthError):
-            weight_matrix(BIWEIGHT, 0.0, grid25, np.array([0.5]))
+        for h in (0.0, np.nan, np.inf):
+            with pytest.raises(InvalidBandwidthError):
+                weight_matrix(BIWEIGHT, h, grid25, np.array([0.5]))
 
     def test_unreachable_observation(self, grid25):
         # With a bandwidth below half the grid spacing, a point between

@@ -121,6 +121,9 @@ class TestBoundaryWeight:
             boundary_weight(BIWEIGHT, 0.0, 0.5, 0.5)
         with pytest.raises(InvalidBandwidthError):
             boundary_weight(BIWEIGHT, -0.2, 0.5, 0.5)
+        for h in (np.nan, np.inf):
+            with pytest.raises(InvalidBandwidthError):
+                boundary_weight(BIWEIGHT, h, 0.5, 0.5)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):

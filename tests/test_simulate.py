@@ -127,12 +127,29 @@ class TestSimConfig:
         ("n", 50.5), ("n", np.float64(100.0)), ("n", True),
         ("replicates", 2.5), ("replicates", 0),
         ("seed", 1.5), ("seed", -1), ("seed", True),
+        ("grid_size", 1.5), ("grid_size", 0), ("search_num", 2.5),
     ])
     def test_counts_and_seed_are_checked_when_built(self, field, bad):
         # A non-integer count or seed, or a negative seed, fails here, not
         # inside numpy once the study runs.
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SimConfig(**{"model": "m2", "n": 50, field: bad})
+
+    def test_a_grid_too_small_is_rejected_when_built(self):
+        # It used to fail only inside run_study.
+        with pytest.raises(ValueError, match="grid needs at least 5 points"):
+            SimConfig(model="m2", n=50, grid_size=3)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        # asdict kept numpy integers, so to_json raised "Object of type
+        # int64 is not JSON serializable".
+        counts = dict(n=50, replicates=1, seed=4, grid_size=21, search_num=7,
+                      max_outer=5, workers=1)
+        cfg = SimConfig(model="m2", **{k: np.int64(v) for k, v in counts.items()})
+        for name, value in counts.items():
+            assert type(getattr(cfg, name)) is int and getattr(cfg, name) == value
+        report = json.loads(run_study(cfg).to_json())
+        assert {k: report["config"][k] for k in counts} == counts
 
     def test_default_selectors(self):
         assert SimConfig(model="m1", n=100).selectors == (
