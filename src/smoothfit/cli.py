@@ -27,7 +27,7 @@ from .errors import NumericError, SmoothfitError
 from .kernels import get_kernel
 from .selectors import (
     BandwidthSearchSpec,
-    _check_smoother,
+    _check_selector,
     select_pl,
     select_pl_star,
     select_pls,
@@ -193,7 +193,7 @@ def _run_selection(args, data, grid, kernel):
     which a final backfit of the same data can reuse."""
     spec = _search_spec(args, data)
     method = args.method.replace("-", "_")
-    _check_smoother(method, args.smoother)
+    _check_selector(method, args.smoother)
     ws = _engine.workspace_for(data, grid, kernel)
     if method == "pls":
         sel = select_pls(data, args.smoother, spec, workspace=ws)
@@ -202,10 +202,8 @@ def _run_selection(args, data, grid, kernel):
             data, spec, args.mode.replace("-", "_"), pilot_factor=args.pilot_factor,
             workspace=ws,
         )
-    elif method == "pl_star":
+    else:  # pl_star, the last --method choice
         sel = select_pl_star(data, spec, pilot_factor=args.pilot_factor, workspace=ws)
-    else:
-        raise _InputError(f"unknown selection method {args.method!r}")
     return sel, ws
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
+from .density import _check_axis
 from .kernels import KernelSpec
 
 __all__ = [
@@ -49,8 +50,8 @@ class TrimSpec:
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lo.shape != hi.shape:
             raise ValueError("lower and upper cuts must have equal length")
-        if self.active and np.any(lo >= hi):
-            raise ValueError("each lower cut must be below its upper cut")
+        if self.active and not np.all((lo < hi) & np.isfinite(lo) & np.isfinite(hi)):
+            raise ValueError("each cut must be finite and each lower cut below its upper")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -159,7 +160,7 @@ def ase_j(data: Dataset, fit, j: int, true_mj_centered, weights_j=None) -> Crite
     and compared against the centered true component (the backfit
     estimates the component only up to its norming constant).
     """
-    xj = data.x[:, j]
+    xj = _check_axis(data, j)
     fitted = np.interp(xj, fit.grid.points, fit.components[j])
     truth = np.asarray(true_mj_centered(xj), dtype=float)
     w = _weights_vector(weights_j, xj)

@@ -68,6 +68,7 @@ from .criteria import (
 )
 from .curvature import pilot_bandwidth, second_derivative
 from .data import Dataset, Grid
+from .density import _check_axis
 from .errors import SelectorFailureError, SmoothfitError
 from .kernels import KernelSpec
 
@@ -83,31 +84,37 @@ __all__ = [
 ]
 
 
-# The smoothers each selector runs with, by the selector names of the
-# command line and the simulation harness.  The plug-in selectors expand
-# the local linear error, and the single-covariate variants search the
-# marginal local linear fit, so only the grid searches over the backfit
-# also run with Nadaraya-Watson.
-_SMOOTHERS = {
-    "ase": ("nw", "ll"),
-    "pls": ("nw", "ll"),
-    "pl": ("ll",),
-    "pl_coord": ("ll",),
-    "pl_star": ("ll",),
-    "ase1": ("ll",),
-    "pls1": ("ll",),
-    "pl1": ("ll",),
+# Each selector, by the names of the command line and the simulation
+# harness: the smoothers it runs with, and whether it takes one covariate
+# (else more than one).  The plug-in selectors expand the local linear
+# error, and the single-covariate variants search the marginal local
+# linear fit, so only the grid searches over the backfit also run with
+# Nadaraya-Watson.
+_SELECTORS = {
+    "ase": (("nw", "ll"), False),
+    "pls": (("nw", "ll"), False),
+    "pl": (("ll",), False),
+    "pl_coord": (("ll",), False),
+    "pl_star": (("ll",), False),
+    "ase1": (("ll",), True),
+    "pls1": (("ll",), True),
+    "pl1": (("ll",), True),
 }
 
 
-def _check_smoother(selector: str, smoother: str) -> None:
-    """Raise ValueError unless ``selector`` runs with ``smoother``."""
-    if selector not in _SMOOTHERS:
-        raise ValueError(f"unknown selector {selector!r}")
-    if smoother not in _SMOOTHERS[selector]:
+def _check_selector(name: str, smoother: str, d: int | None = None) -> None:
+    """Raise ValueError unless selector ``name`` runs with ``smoother``
+    and, when ``d`` is given, on ``d`` covariates."""
+    if name not in _SELECTORS:
+        raise ValueError(f"unknown selector {name!r}")
+    smoothers, single = _SELECTORS[name]
+    if d is not None and single != (d == 1):
+        need = "one covariate" if single else "more than one covariate"
+        raise ValueError(f"selector {name!r} needs {need}, got d={d}")
+    if smoother not in smoothers:
         names = {"nw": "Nadaraya-Watson", "ll": "local linear"}
-        allowed = " or ".join(names[s] for s in _SMOOTHERS[selector])
-        raise ValueError(f"selector {selector!r} needs the {allowed} smoother")
+        allowed = " or ".join(names[s] for s in smoothers)
+        raise ValueError(f"selector {name!r} needs the {allowed} smoother")
 
 
 @dataclass(frozen=True)
@@ -603,8 +610,7 @@ def select_pls(
     near the boundary (see ``BandwidthSearchSpec.nw_trim``); the local
     linear criterion uses the full sample.
     """
-    if smoother not in ("nw", "ll"):
-        raise ValueError("smoother must be 'nw' or 'll'")
+    _check_selector("pls", smoother)
     ws = _engine.workspace_for(data, grid, kernel, workspace)
     if trim is None and smoother == "nw":
         trim = spec.nw_trim(data.d)
@@ -822,23 +828,21 @@ def oracle_ase_bandwidth(
     is the error of one component against ``component_truth`` (a
     callable on that covariate, centered like the fitted component).
     """
-    if smoother not in ("nw", "ll"):
-        raise ValueError("smoother must be 'nw' or 'll'")
-    if criterion not in ("ase", "ase_j"):
+    _check_selector("ase", smoother)
+    if criterion == "ase":
+        target, component = np.asarray(truth(data.x), dtype=float), None
+    elif criterion != "ase_j":
         raise ValueError("criterion must be 'ase' or 'ase_j'")
-    if criterion == "ase_j" and (component is None or component_truth is None):
+    elif component is None or component_truth is None:
         raise ValueError("ase_j needs a component index and its centered truth")
+    else:
+        target = np.asarray(component_truth(_check_axis(data, component)), dtype=float)
     ws = _engine.workspace_for(data, grid, kernel, workspace)
     if trim is None and smoother == "nw":
         trim = spec.nw_trim(data.d)
     mw = _criterion_weights(weights, trim, data.x)
     fits = _FitCache(ws, smoother, fit_tol, max_sweeps)
-    if criterion == "ase":
-        target = np.asarray(truth(data.x), dtype=float)
-        crit = _ase_criterion(fits, target, mw)
-    else:
-        target = np.asarray(component_truth(data.x[:, component]), dtype=float)
-        crit = _ase_criterion(fits, target, mw, component)
+    crit = _ase_criterion(fits, target, mw, component)
     return _grid_search(fits, crit, spec, "ase_oracle")
 
 

@@ -33,10 +33,10 @@ from .data import Dataset, Grid
 from .errors import SamplerDegenerateError, SmoothfitError
 from .kernels import get_kernel
 from .selectors import (
-    _SMOOTHERS,
+    _SELECTORS,
     BandwidthSearchSpec,
     _ase_criterion,
-    _check_smoother,
+    _check_selector,
     _grid_search,
     _MarginalFit,
     oracle_ase_bandwidth,
@@ -60,8 +60,16 @@ _MODEL_COMPONENTS = {
     "m2": (lambda x: x**2,),
 }
 
-_MULTI_SELECTORS = ("ase", "pls", "pl", "pl_coord", "pl_star")
-_SINGLE_SELECTORS = ("ase1", "pls1", "pl1")
+
+def _check_design(d: int, rho: float, variance: float) -> None:
+    """Raise ValueError unless ``rho`` is a common correlation that ``d``
+    normals can have (-1/(d-1) < rho < 1; |rho| < 1 for d = 1) and
+    ``variance`` is finite and positive."""
+    lower = -1.0 / (d - 1) if d > 1 else -1.0
+    if not lower < rho < 1.0:
+        raise ValueError(f"correlation {rho} is infeasible for d={d}")
+    if not 0 < variance < np.inf:
+        raise ValueError("covariate variance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -103,34 +111,23 @@ class SimConfig:
         Grid.regular(self.grid_size)
         if self.n < 20:
             raise ValueError("need a sample size of at least 20")
-        if not abs(self.rho) < 1:
-            raise ValueError("correlation must lie in (-1, 1)")
-        if self.sigma2 <= 0:
-            raise ValueError("noise variance must be positive")
-        if not 0 < self.cov_variance < np.inf:
-            raise ValueError("covariate variance must be positive and finite")
+        _check_design(self.d, self.rho, self.cov_variance)
+        if not 0 < self.sigma2 < np.inf:
+            raise ValueError("noise variance must be positive and finite")
+        get_kernel(self.kernel)
         # A bad pilot factor fails here rather than in every replicate.
         pilot_bandwidth(1.0, self.pilot_factor)
-        if self.smoother not in ("nw", "ll"):
-            raise ValueError("smoother must be 'nw' or 'll'")
-        valid = _MULTI_SELECTORS if self.d > 1 else _SINGLE_SELECTORS
-        if self.selectors:
-            chosen = tuple(self.selectors)
-        else:
-            chosen = tuple(
-                s for s in valid if s != "pl_coord" and self.smoother in _SMOOTHERS[s]
+        chosen = tuple(self.selectors) or tuple(
+            name for name, (smoothers, single) in _SELECTORS.items()
+            if name != "pl_coord" and single == (self.d == 1)
+            and self.smoother in smoothers
+        )
+        if not chosen:
+            raise ValueError(
+                f"model {self.model!r} has no selector for smoother {self.smoother!r}"
             )
-            if not chosen:
-                raise ValueError(
-                    f"model {self.model!r} has no selector for smoother "
-                    f"{self.smoother!r}"
-                )
         for name in chosen:
-            if name not in valid:
-                raise ValueError(
-                    f"selector {name!r} not available for model {self.model!r}"
-                )
-            _check_smoother(name, self.smoother)
+            _check_selector(name, self.smoother, self.d)
         object.__setattr__(self, "selectors", chosen)
         _engine.check_tolerance("fit_tol", self.fit_tol)
         # A bad search box or outer-loop control fails here rather than
@@ -204,12 +201,10 @@ def sample_covariates(
     SamplerDegenerateError
         If fewer than one row per thousand draws is accepted.
     ValueError
-        If the implied correlation matrix is not positive definite.
+        If ``rho`` is not a common correlation that ``d`` normals can
+        have, or the variance is not finite and positive.
     """
-    if d > 1 and not (-1.0 / (d - 1) < rho < 1.0):
-        raise ValueError(f"correlation {rho} is infeasible for d={d}")
-    if variance <= 0:
-        raise ValueError("covariate variance must be positive")
+    _check_design(d, rho, variance)
     cov = variance * ((1.0 - rho) * np.eye(d) + rho * np.ones((d, d)))
     chol = np.linalg.cholesky(cov)
     out = np.empty((n, d))

@@ -46,6 +46,17 @@ class TestTrimSpec:
         with pytest.raises(ValueError):
             TrimSpec(lower=np.array([0.6]), upper=np.array([0.4]))
 
+    @pytest.mark.parametrize("lower, upper", [
+        ([np.nan] * 3, [1.0] * 3), ([0.0] * 3, [np.nan] * 3),
+        ([-np.inf], [0.5]), ([0.5], [np.inf]),
+    ])
+    def test_an_active_trim_needs_finite_cuts(self, lower, upper):
+        # A NaN cut kept no observation, so select_pls scored 0.0 at every
+        # candidate and returned the smallest one.
+        with pytest.raises(ValueError, match="each cut must be finite"):
+            TrimSpec(lower=np.array(lower), upper=np.array(upper))
+        TrimSpec(lower=np.array(lower), upper=np.array(upper), active=False)
+
 
 class TestRss:
     def test_perfect_fit_zero(self):
@@ -171,6 +182,15 @@ class TestAseJ:
             lambda t: np.where(t < 0.5, np.sqrt(0.1), -np.sqrt(0.3) * t),
         )
         assert out.value == pytest.approx(0.2, abs=1e-12)
+
+    @pytest.mark.parametrize("j", [-1, 1])
+    def test_an_axis_out_of_range_is_rejected(self, j):
+        # j = -1 scored the last axis, and j = d raised IndexError.
+        grid = Grid.regular(25)
+        fit = self._fit_with_component(grid, grid.points)
+        data = Dataset(x=grid.points[:, None], y=np.zeros(25))
+        with pytest.raises(ValueError, match=f"axis {j} out of range for d=1"):
+            ase_j(data, fit, j, lambda t: t)
 
 
 class TestAaseHat:

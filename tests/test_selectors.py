@@ -387,6 +387,21 @@ class TestOracle:
                 dataset2, lambda x: x[:, 0], "ll", spec, criterion="ase_j"
             )
 
+    @pytest.mark.parametrize("component", [-1, 2])
+    def test_component_out_of_range_is_rejected_before_any_fit(
+        self, grid25, dataset2, component
+    ):
+        # component = -1 scored the last axis, and component = d raised
+        # IndexError.
+        spec = BandwidthSearchSpec.for_sample_size(dataset2.n, 2)
+        ws = Workspace(dataset2, grid25, BIWEIGHT)
+        with pytest.raises(ValueError, match=f"axis {component} out of range for d=2"):
+            oracle_ase_bandwidth(
+                dataset2, None, "ll", spec, criterion="ase_j", component=component,
+                component_truth=lambda t: t - 0.5, workspace=ws,
+            )
+        assert not ws._axes and not ws._fits
+
 
 _SELECTORS = {
     "pls": lambda data, spec, ws: select_pls(data, "ll", spec, workspace=ws),

@@ -54,6 +54,16 @@ class TestSampleCovariates:
         with pytest.raises(ValueError):
             sample_covariates(10, 3, -0.9, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("variance", [np.nan, np.inf, 0.0, -0.5])
+    def test_variance_must_be_finite_and_positive(self, variance):
+        # A NaN variance drew 100000 rows and then raised
+        # SamplerDegenerateError; now nothing is drawn.
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="variance must be positive and finite"):
+            sample_covariates(10, 2, 0.0, rng, variance=variance)
+        assert rng.bit_generator.state == state
+
     def test_degenerate_acceptance(self):
         with pytest.raises(SamplerDegenerateError):
             sample_covariates(
@@ -134,6 +144,20 @@ class TestSimConfig:
         # inside numpy once the study runs.
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SimConfig(**{"model": "m2", "n": 50, field: bad})
+
+    @pytest.mark.parametrize("model, field, bad, message", [
+        ("m1", "rho", -0.6, "correlation -0.6 is infeasible for d=3"),
+        ("m1", "rho", np.nan, "correlation nan is infeasible"),
+        ("m2", "rho", 1.0, "correlation 1.0 is infeasible for d=1"),
+        ("m2", "sigma2", np.nan, "noise variance must be positive and finite"),
+        ("m2", "sigma2", np.inf, "noise variance must be positive and finite"),
+        ("m2", "cov_variance", np.nan, "covariate variance must be positive"),
+        ("m2", "kernel", "foo", "unknown kernel 'foo'"),
+    ])
+    def test_design_noise_and_kernel_are_checked_when_built(self, model, field, bad, message):
+        # Each of these used to fail only inside run_study, or not at all.
+        with pytest.raises(ValueError, match=message):
+            SimConfig(**{"model": model, "n": 50, field: bad})
 
     def test_a_grid_too_small_is_rejected_when_built(self):
         # It used to fail only inside run_study.
