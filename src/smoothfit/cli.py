@@ -14,7 +14,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -22,6 +21,7 @@ import numpy as np
 from . import _engine
 from .backfit_ll import backfit_ll
 from .backfit_nw import backfit_nw
+from .curvature import pilot_bandwidth
 from .data import Dataset, Grid
 from .errors import NumericError, SmoothfitError
 from .kernels import get_kernel
@@ -41,11 +41,14 @@ class _InputError(Exception):
     pass
 
 
-def _open_csv(path: str):
+def _open(path: str, mode: str = "r"):
+    """Every file the command line reads or writes opens here; a path it
+    cannot open is an input error."""
     try:
-        return open(path, newline="", encoding="utf-8")
+        return open(path, mode, newline="", encoding="utf-8")
     except OSError as err:
-        raise _InputError(f"cannot read {path}: {err}") from None
+        verb = "read" if mode == "r" else "write"
+        raise _InputError(f"cannot {verb} {path}: {err}") from None
 
 
 def _read_header(reader) -> int:
@@ -61,12 +64,13 @@ def _read_header(reader) -> int:
     return d
 
 
-def _parse_fast(text: str, d: int):
+def _parse_fast(text: str, d: int, unit_cube: bool = False):
     """The data rows after the header as an (m, d + 1) array, parsed by
     numpy's reader, or None where the row loop must decide.
 
     None unless every non-empty line (split at \\r\\n, \\r or \\n like
-    the csv module) parses to d + 1 finite numbers: numpy rejects the
+    the csv module) parses to d + 1 finite numbers, with the covariates
+    in [0, 1] if ``unit_cube`` is set: numpy rejects the
     quotes, blank fields, whitespace-only lines and ragged rows that the
     loop rejects or reads differently, and parses the numbers it accepts
     with the same correctly rounded conversion as ``float``.
@@ -81,10 +85,12 @@ def _parse_fast(text: str, d: int):
         return None
     if arr.shape != (len(lines), d + 1) or not np.all(np.isfinite(arr)):
         return None
+    if unit_cube and not np.all((arr[:, :d] >= 0.0) & (arr[:, :d] <= 1.0)):
+        return None
     return arr
 
 
-def _parse_rows(reader, d: int) -> np.ndarray:
+def _parse_rows(reader, d: int, unit_cube: bool) -> np.ndarray:
     """The data rows after the header, one ``float`` per field, with the
     line number of the first bad row in the error."""
     rows = []
@@ -99,38 +105,44 @@ def _parse_rows(reader, d: int) -> np.ndarray:
             raise _InputError(f"line {lineno}: non-numeric value") from None
         if not all(map(math.isfinite, values)):
             raise _InputError(f"line {lineno}: non-finite value")
+        if unit_cube and not all(0.0 <= v <= 1.0 for v in values[:d]):
+            raise _InputError(
+                f"line {lineno}: covariate outside [0, 1] "
+                "(use --rescale minmax to map data into the unit cube)"
+            )
         rows.append(values)
     if not rows:
         raise _InputError("no data rows")
     return np.asarray(rows, dtype=float)
 
 
-def _read_csv(path: str):
-    """Covariates and responses of a CSV file with header x1,...,xd,y.
+def _read_csv(path: str, unit_cube: bool = False):
+    """Covariates and responses of a CSV file with header x1,...,xd,y,
+    with every covariate in [0, 1] if ``unit_cube`` is set.
 
     Numpy's reader parses a well-formed file; any file it does not parse
     whole goes through the row loop, which gives bitwise the same arrays
     and names the first bad line.
     """
-    with _open_csv(path) as fh:
+    with _open(path) as fh:
         d = _read_header(csv.reader(fh))
         try:
             text = fh.read()
         except UnicodeDecodeError:
             text = None
-    arr = None if text is None else _parse_fast(text, d)
+    arr = None if text is None else _parse_fast(text, d, unit_cube)
     if arr is None:
-        with _open_csv(path) as fh:
+        with _open(path) as fh:
             reader = csv.reader(fh)
             _read_header(reader)
-            arr = _parse_rows(reader, d)
+            arr = _parse_rows(reader, d, unit_cube)
     return arr[:, :d], arr[:, d]
 
 
 def _load_dataset(args):
-    x, y = _read_csv(args.input)
+    x, y = _read_csv(args.input, unit_cube=args.rescale != "minmax")
     rescale = None
-    if getattr(args, "rescale", None) == "minmax":
+    if args.rescale == "minmax":
         lo, hi = x.min(axis=0), x.max(axis=0)
         flat = np.nonzero(hi <= lo)[0]
         if flat.size:
@@ -142,14 +154,15 @@ def _load_dataset(args):
             f"x{j + 1}": {"min": float(lo[j]), "max": float(hi[j])}
             for j in range(x.shape[1])
         }
-    else:
-        bad = np.nonzero(np.any((x < 0.0) | (x > 1.0), axis=1))[0]
-        if bad.size:
-            raise _InputError(
-                f"line {bad[0] + 2}: covariate outside [0, 1] "
-                "(use --rescale minmax to map data into the unit cube)"
-            )
     return Dataset(x=x, y=y), rescale
+
+
+def _write_text(text: str, out: str) -> None:
+    if out == "-":
+        print(text)
+    else:
+        with _open(out, "w") as fh:
+            fh.write(text + "\n")
 
 
 def _write_json(payload: dict, out: str) -> None:
@@ -157,23 +170,15 @@ def _write_json(payload: dict, out: str) -> None:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as err:
         raise NumericError(f"result is not finite: {err}") from None
-    if out == "-":
-        print(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    _write_text(text, out)
 
 
-def _parse_h(text: str, d: int) -> np.ndarray:
+def _parse_h(text: str) -> np.ndarray:
+    """The numbers of ``--h``; the backfit checks their count and values."""
     try:
-        h = np.array([float(c) for c in text.split(",")], dtype=float)
+        return np.array([float(c) for c in text.split(",")])
     except ValueError:
         raise _InputError(f"cannot parse bandwidths {text!r}") from None
-    if h.size != d:
-        raise _InputError(f"expected {d} bandwidths, got {h.size}")
-    if not np.all((h > 0) & np.isfinite(h)):
-        raise _InputError("bandwidths must be positive and finite")
-    return h
 
 
 def _search_spec(args, data: Dataset) -> BandwidthSearchSpec:
@@ -222,21 +227,28 @@ def _selection_payload(sel) -> dict:
     }
 
 
-def cmd_fit(args) -> int:
+def _prologue(args):
+    """The data, grid and kernel of ``fit`` or ``select``, and the header
+    of its JSON output.  The pilot factor is checked by the rule of the
+    pilot bandwidth, as a study's is, whether or not the method uses it."""
+    pilot_bandwidth(1.0, args.pilot_factor)
     data, rescale = _load_dataset(args)
-    grid = Grid.regular(args.grid)
-    kernel = get_kernel(args.kernel)
-    payload = {
+    header = {
         "schema_version": SCHEMA_VERSION,
-        "command": "fit",
+        "command": args.command,
         "smoother": args.smoother,
         "kernel": args.kernel,
-        "grid": grid.points.tolist(),
         "rescale": rescale,
     }
+    return data, Grid.regular(args.grid), get_kernel(args.kernel), header
+
+
+def cmd_fit(args) -> int:
+    data, grid, kernel, payload = _prologue(args)
+    payload["grid"] = grid.points.tolist()
     ws = None
     if args.h:
-        h = _parse_h(args.h, data.d)
+        h = _parse_h(args.h)
     else:
         sel, ws = _run_selection(args, data, grid, kernel)
         h = sel.bandwidths
@@ -260,67 +272,41 @@ def cmd_fit(args) -> int:
 
 
 def cmd_select(args) -> int:
-    data, rescale = _load_dataset(args)
-    grid = Grid.regular(args.grid)
-    kernel = get_kernel(args.kernel)
+    data, grid, kernel, payload = _prologue(args)
     sel, _ = _run_selection(args, data, grid, kernel)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "select",
-        "smoother": args.smoother,
-        "kernel": args.kernel,
-        "rescale": rescale,
-    }
     payload.update(_selection_payload(sel))
     _write_json(payload, args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    cap = os.environ.get("SMOOTHFIT_THREADS")
-    workers = args.workers
-    if cap is not None:
-        try:
-            limit = int(cap)
-        except ValueError:
-            raise _InputError(f"SMOOTHFIT_THREADS={cap!r} is not an integer") from None
-        if limit < 1:
-            raise _InputError(f"SMOOTHFIT_THREADS={cap!r} must be at least 1")
-        workers = min(workers, limit)
-    try:
-        config = SimConfig(
-            model=args.model,
-            n=args.n,
-            rho=args.rho,
-            sigma2=args.sigma2,
-            replicates=args.reps,
-            seed=args.seed,
-            selectors=tuple(args.selectors.split(",")) if args.selectors else (),
-            smoother=args.smoother,
-            kernel=args.kernel,
-            pilot_factor=args.pilot_factor,
-            cov_variance=args.cov_var,
-            grid_size=args.grid,
-            workers=workers,
-        )
-    except ValueError as err:
-        raise _InputError(str(err)) from None
+    config = SimConfig(
+        model=args.model,
+        n=args.n,
+        rho=args.rho,
+        sigma2=args.sigma2,
+        replicates=args.reps,
+        seed=args.seed,
+        selectors=tuple(args.selectors.split(",")) if args.selectors else (),
+        smoother=args.smoother,
+        kernel=args.kernel,
+        pilot_factor=args.pilot_factor,
+        cov_variance=args.cov_var,
+        grid_size=args.grid,
+        workers=args.workers,
+    )
     report = run_study(config)
-    if args.out == "-":
-        print(report.to_json())
-    else:
-        report.save(args.out)
+    _write_text(report.to_json(), args.out)
     if args.csv_prefix:
-        with open(f"{args.csv_prefix}_quantiles.csv", "w", newline="",
-                  encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["selector", "rank", "level", "ase"])
-            writer.writerows(report.quantile_rows())
-        with open(f"{args.csv_prefix}_logdiffs.csv", "w", newline="",
-                  encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["selector", "replicate", "axis", "log_h_diff"])
-            writer.writerows(report.logdiff_rows())
+        for name, header, rows in (
+            ("quantiles", ["selector", "rank", "level", "ase"], report.quantile_rows()),
+            ("logdiffs", ["selector", "replicate", "axis", "log_h_diff"],
+             report.logdiff_rows()),
+        ):
+            with _open(f"{args.csv_prefix}_{name}.csv", "w") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
     return 0
 
 
@@ -399,15 +385,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as err:
+    except (_InputError, ValueError) as err:
+        # Caught before SmoothfitError: an InvalidBandwidthError is both,
+        # and it is bad input.
         print(f"smoothfit: {err}", file=sys.stderr)
         return 2
     except SmoothfitError as err:
         print(f"smoothfit: numeric failure: {err}", file=sys.stderr)
         return 3
-    except ValueError as err:
-        print(f"smoothfit: {err}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -117,6 +117,8 @@ class SimConfig:
         get_kernel(self.kernel)
         # A bad pilot factor fails here rather than in every replicate.
         pilot_bandwidth(1.0, self.pilot_factor)
+        if isinstance(self.selectors, str):
+            raise ValueError(f"selectors must be a sequence of names, got {self.selectors!r}")
         chosen = tuple(self.selectors) or tuple(
             name for name, (smoothers, single) in _SELECTORS.items()
             if name != "pl_coord" and single == (self.d == 1)
@@ -126,6 +128,8 @@ class SimConfig:
             raise ValueError(
                 f"model {self.model!r} has no selector for smoother {self.smoother!r}"
             )
+        if len(set(chosen)) < len(chosen):
+            raise ValueError(f"selectors must name each selector once, got {chosen}")
         for name in chosen:
             _check_selector(name, self.smoother, self.d)
         object.__setattr__(self, "selectors", chosen)

@@ -1,12 +1,28 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from smoothfit import Dataset, Grid
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 # Property tests draw the same examples on every run.
 settings.register_profile("ci", derandomize=True)
 settings.load_profile("ci")
+
+
+def run_module(*argv):
+    """``python -m <argv>`` in a child process that imports the package
+    from this source tree, as pytest's ``pythonpath`` does in-process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", *argv], capture_output=True,
+                          text=True, env=env)
 
 
 @pytest.fixture(scope="session")

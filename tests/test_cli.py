@@ -3,8 +3,6 @@
 import csv
 import json
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -13,7 +11,7 @@ from smoothfit import cli
 from smoothfit.cli import _InputError, _parse_fast, _read_csv, _write_json, main
 from smoothfit.errors import NumericError
 
-from conftest import make_gap_dataset
+from conftest import make_gap_dataset, run_module
 
 
 def write_csv(path, x, y, header=None):
@@ -123,10 +121,14 @@ class TestFit:
 
     def test_out_of_range_exits_2(self, tmp_path, capsys):
         path = tmp_path / "range.csv"
-        x = np.array([[0.5], [1.4], [0.3]])
-        write_csv(path, x, np.zeros(3))
-        assert main(["fit", str(path), "--h", "0.2"]) == 2
-        assert "line 3" in capsys.readouterr().err
+        # Blank lines count: the second file's bad row is on line 6, not
+        # on the fourth line from the top with data.
+        for text, line in [("x1,y\n0.5,0\n1.4,0\n0.3,0\n", 3),
+                           ("x1,y\n0.5,1\n\n\n0.2,2\n1.5,3\n", 6)]:
+            path.write_text(text)
+            assert main(["fit", str(path), "--h", "0.2"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"smoothfit: line {line}: covariate outside [0, 1]")
 
     def test_rescale_minmax(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -176,10 +178,7 @@ class TestFit:
         data = make_gap_dataset(d=2)
         path = tmp_path / "gap.csv"
         write_csv(path, data.x, data.y)
-        proc = subprocess.run(
-            [sys.executable, "-m", "smoothfit", "fit", str(path), "--h", "0.1,0.2"],
-            capture_output=True, text=True,
-        )
+        proc = run_module("smoothfit", "fit", str(path), "--h", "0.1,0.2")
         assert proc.returncode == 3
         assert "empty kernel neighborhood on axis 0 at 0.458333" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
@@ -238,10 +237,12 @@ class TestSimulate:
         ]) == 2
 
     def test_bad_selector_exits_2(self):
-        assert main([
-            "simulate", "--model", "m2", "--n", "50", "--reps", "1",
-            "--selectors", "pls",
-        ]) == 2
+        # A repeated selector used to run twice and keep one record.
+        for selectors in ("pls", "pls1,pls1", "ase1,pls1,ase1"):
+            assert main([
+                "simulate", "--model", "m2", "--n", "50", "--reps", "1",
+                "--selectors", selectors,
+            ]) == 2
 
     @pytest.mark.parametrize("model, selectors", [
         ("m1", ["--selectors", "pl_star"]), ("m2", []),
@@ -252,59 +253,54 @@ class TestSimulate:
             "--smoother", "nw", *selectors,
         ]) == 2
 
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SMOOTHFIT_THREADS", "1")
-        out = tmp_path / "capped.json"
-        code = main([
-            "simulate", "--model", "m2", "--n", "50", "--reps", "1",
-            "--seed", "3", "--workers", "8", "--out", str(out),
-        ])
-        assert code == 0
-        assert json.loads(out.read_text())["config"]["workers"] == 1
-
-    def test_thread_cap_invalid_exits_2(self, tmp_path, monkeypatch, capsys):
+    def test_thread_cap_invalid_exits_2(self, tmp_path, capsys):
+        # A worker count below 1 is rejected as a bad --reps is.
         out = tmp_path / "never.json"
         argv = ["simulate", "--model", "m2", "--n", "50", "--reps", "1",
                 "--out", str(out)]
-        for cap in ("lots", "0", "-1"):
-            monkeypatch.setenv("SMOOTHFIT_THREADS", cap)
-            assert main(argv) == 2
-            assert "SMOOTHFIT_THREADS" in capsys.readouterr().err
-        # A worker count below 1 is rejected as a bad --reps is, and the
-        # cap does not raise it to 1.
-        monkeypatch.setenv("SMOOTHFIT_THREADS", "2")
-        assert main(argv + ["--workers", "-3"]) == 2
-        monkeypatch.delenv("SMOOTHFIT_THREADS")
         for workers in ("0", "-3"):
             assert main(argv + ["--workers", workers]) == 2
-        assert capsys.readouterr().err.count("workers must be") == 3
+        assert capsys.readouterr().err.count("workers must be") == 2
         assert not out.exists()
+
+
+class TestUnwritableOutput:
+    SIMULATE = ["simulate", "--model", "m2", "--n", "50", "--reps", "1"]
+
+    @pytest.mark.parametrize("argv, target", [
+        (["fit", "{csv}", "--h", "0.3,0.3,0.3", "--out", "{missing}/x.json"],
+         "{missing}/x.json"),
+        (["fit", "{csv}", "--h", "0.3,0.3,0.3", "--out", "{tmp}"], "{tmp}"),
+        (["select", "{csv}", "--candidates", "6", "--out", "{missing}/x.json"],
+         "{missing}/x.json"),
+        ([*SIMULATE, "--out", "{missing}/x.json"], "{missing}/x.json"),
+        ([*SIMULATE, "--out", "{tmp}/r.json", "--csv-prefix", "{missing}/plot"],
+         "{missing}/plot_quantiles.csv"),
+    ], ids=["fit", "fit-directory", "select", "simulate", "csv-prefix"])
+    def test_exits_2_with_one_line(self, csv3, tmp_path, capsys, argv, target):
+        # Each of these used to end in a FileNotFoundError or
+        # IsADirectoryError traceback.
+        names = dict(csv=csv3, tmp=tmp_path, missing=tmp_path / "missing")
+        assert main([a.format(**names) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"smoothfit: cannot write {target.format(**names)}: ")
+        assert err.count("\n") == 1
 
 
 class TestEntryPoint:
     def test_module_invocation(self, csv1):
-        proc = subprocess.run(
-            [sys.executable, "-m", "smoothfit.cli", "fit", csv1, "--h", "0.3"],
-            capture_output=True, text=True,
-        )
+        proc = run_module("smoothfit.cli", "fit", csv1, "--h", "0.3")
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["bandwidths"] == [0.3]
 
     def test_package_invocation_is_the_cli(self, csv3):
-        proc = subprocess.run(
-            [sys.executable, "-m", "smoothfit", "--help"],
-            capture_output=True, text=True,
-        )
+        proc = run_module("smoothfit", "--help")
         assert proc.returncode == 0
         assert "select" in proc.stdout
         outs = []
         for module in ("smoothfit", "smoothfit.cli"):
-            proc = subprocess.run(
-                [sys.executable, "-m", module, "select", csv3, "--candidates", "6",
-                 "--out", "-"],
-                capture_output=True, text=True,
-            )
+            proc = run_module(module, "select", csv3, "--candidates", "6", "--out", "-")
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
@@ -445,10 +441,26 @@ class TestNonFiniteOptions:
         assert main(["fit", csv3, "--h", f"{value},0.1,0.1"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("h, message", [
+        ("0.3,0.3", "need 3 bandwidths, got 2"),
+        ("0.3,0.3,0.3,0.3", "need 3 bandwidths, got 4"),
+        ("0.3,0,0.3", "bandwidth must be finite and positive, got 0.0"),
+        ("0.3,0.3,-0.1", "bandwidth must be finite and positive, got -0.1"),
+        ("0.3,,0.3", "cannot parse bandwidths '0.3,,0.3'"),
+    ])
+    def test_bad_bandwidths_exit_2_with_the_library_message(self, csv3, capsys, h, message):
+        assert main(["fit", csv3, "--h", h]) == 2
+        assert capsys.readouterr().err == f"smoothfit: {message}\n"
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_pilot_factor_exits_2_on_select(self, csv3, value):
-        assert main(["select", csv3, "--method", "pl-star",
-                     "--pilot-factor", value]) == 2
+    def test_non_finite_pilot_factor_exits_2_on_select(self, csv3, capsys, value):
+        # Checked whether or not the method uses a pilot, as a study does.
+        for command, *flags in (["select", "--method", "pl-star"],
+                                ["select", "--method", "pls"],
+                                ["fit", "--h", "0.3,0.3,0.3"]):
+            assert main([command, csv3, *flags, "--pilot-factor", value]) == 2
+            err = capsys.readouterr().err
+            assert "pilot factor must be positive and finite" in err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_pilot_factor_exits_2_on_simulate(self, value):

@@ -118,6 +118,13 @@ class TestSimConfig:
             SimConfig(model="m1", n=100, rho=1.0)
         with pytest.raises(ValueError):
             SimConfig(model="m2", n=100, selectors=("pls",))
+        # A repeat ran twice per replicate and kept one record; a string
+        # was split into one-letter names.
+        for selectors, message in [(("pls1", "pls1"), "each selector once"),
+                                   (["ase1", "pls1", "ase1"], "each selector once"),
+                                   ("pls1", "a sequence of names")]:
+            with pytest.raises(ValueError, match=message):
+                SimConfig(model="m2", n=100, selectors=selectors)
         for bad in (0.0, -1e-6, np.nan, np.inf):
             with pytest.raises(ValueError, match="fit_tol"):
                 SimConfig(model="m1", n=100, fit_tol=bad)
