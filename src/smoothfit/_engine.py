@@ -24,7 +24,7 @@ statistics.
 No entry keeps the slope weights ``b = w * (X - u)``: they are one
 subtraction and one product away from ``w`` and the covariate, which an
 entry references (the workspace holds each covariate once in sorted
-order, beside the input).  The build forms them in a temporary for its
+order, beside the input).  The build forms them run by run for its
 sums, and the pair products form them again where they read them: into
 a scratch per run of the band side (``_pair_product``) and, in one pass
 over the partner's gathered band, into its layout (``_lay_out``),
@@ -52,22 +52,28 @@ it.  On an n = 20000 local linear ``pls`` selection the kept weights take
 83 MiB, a seventh of the dense level and slope weights, and ``smoothfit
 select`` peaks at about 140 MB instead of 650 MB.
 
-Per ordered axis pair (a, b), a < b, the pair cache holds the sample
-average of outer products of the weights, G x G level-only and the
-stacked 2G x 2G block ``[[s11, s21], [s12, s22]]`` (rows on axis a's
-(level, slope), columns on axis b's) after the switch.  It is built from
-small products per run of one axis, the band side, against the other
-axis's weights laid out densely in the band side's order.  A banded
-partner is laid out from one gather of its ``width`` rows, its covariate
-and its first grid indices into that order, and one scatter into the
-zeroed layout per half; a dense one, whose band side is dense too, is
-copied whole.  The layout takes exactly its G or 2G rows, with no
-scratch.  The key alone picks the band side, so a block never depends on
-which scan or solve built it: the wider band, ties going to axis a.
-(The wider band has fewer runs, and selections settle in the narrow
-part of the search box, so in a coordinate scan the wider band is mostly
-the scanned candidate, and the fixed axes are laid out once for all
-candidates.)
+Per ordered axis pair (a, b), the pair cache holds the sample average of
+outer products of the weights, G x G level-only and the stacked 2G x 2G
+block ``[[s11, s21], [s12, s22]]`` (rows on axis a's (level, slope),
+columns on axis b's) after the switch.  It is built from small products
+per run of axis a, the band side, against axis b's weights laid out
+densely in a's order.  A banded partner is laid out from one gather of
+its ``width`` rows, its covariate and its first grid indices into that
+order, and one scatter into the layout per half; a dense one is copied
+(gathered) whole.  The layout takes exactly its G or 2G rows, with no
+scratch, in one buffer that is reset where the last layout wrote.  So a
+block depends on its key and its band side alone, never on which scan,
+solve or selector built it, and (a, b) and (b, a) hold the same block to
+rounding.  The band side is picked per use (``Workspace._pair_keys``).
+In a coordinate scan of axis j, every pair of two banded axes with j
+takes j, so the scan lays each fixed axis out once in j's order for all
+candidates, and a pair of two banded fixed axes takes the one scanned
+last, whose scan built its block at their current bandwidths.  Every
+other pair, and every pair outside scans (public backfits, plug-in
+iterates), takes the wider band, ties going to the lower axis; a dense
+axis is always the wider band, so dense pairs, as at n = 200, are
+built as they always were.  A public backfit on a selection's workspace
+therefore reads the blocks a fresh one would build.
 The level block is a product of its own, so it holds the same numbers on
 either layout, and a Nadaraya-Watson fit does not depend on whether the
 workspace has switched.
@@ -89,9 +95,11 @@ keeps.  A sweep updates the axes in cyclic order from
 warm-start each candidate of a coordinate scan from the fits before it
 and start the sweep at the scanned axis, the one whose bandwidth moved
 (see ``selectors._FitCache``): its curves are the ones the warm start
-has wrong.  The fixed point and the stopping rule do not depend on the
-start axis, and a cold start, as in ``backfit_ll`` and ``backfit_nw``,
-sweeps in the order 0 .. d - 1.
+has wrong.  They also name the scanned axis (``scan``), which picks the
+band sides of the solve's blocks (see the pair cache above).  The fixed
+point and the stopping rule do not depend on the start axis, and a cold
+start, as in ``backfit_ll`` and ``backfit_nw``, sweeps in the order
+0 .. d - 1.
 
 Solved backfits.  ``Workspace`` also keeps the selectors' solved
 backfits, keyed by (smoother, tol, max_sweeps, bandwidth tuple), so that
@@ -273,9 +281,22 @@ class _AxisStats:
         # leaves no hole below the kept weights: with the temporaries
         # first, an n = 20000 selection peaked about 20 MB higher.
         self.w, self.b = np.empty((self.width, n)), np.empty((0, n))
+        sums = np.zeros((3, g))
+
+        def slope_sums(run, offset):
+            # The slope weights w * (X - u) of one run, only for these
+            # sums: the pair products form them again (``_slope_rows``).
+            first, start, stop = run
+            rows = slice(first, first + self.width)
+            b = np.multiply(self.w[:, start:stop], offset)
+            sums[0, rows] += b.sum(axis=1)
+            sums[1, rows] += np.multiply(b, offset, out=offset).sum(axis=1)
+            sums[2, rows] += b @ y[start:stop]
+
         try:
-            _, offset = _band_weights(
-                ws.kernel, h, ws.grid, x, self.width, self.runs, self.rank, out=self.w
+            _band_weights(
+                ws.kernel, h, ws.grid, x, self.width, self.runs, self.rank, self.w,
+                slope_sums if slopes else None,
             )
         except EmptyNeighborhoodError as err:
             raise EmptyNeighborhoodError(j, err.where, f"bandwidth {h:g}") from None
@@ -287,12 +308,7 @@ class _AxisStats:
         self.a0 = self._total(g, self.w, y)
         self.p1 = self.m11 = self.a1 = self.inv = self.ll = self._rows = None
         if slopes:
-            # The slope weights w * (X - u), only for these sums: the pair
-            # products form them again per run (``_slope_rows``).
-            b = np.multiply(self.w, offset)
-            self.p1 = self._total(g, b)
-            self.m11 = self._total(g, np.multiply(b, offset, out=offset))
-            self.a1 = self._total(g, b, y)
+            self.p1, self.m11, self.a1 = sums / n
             self.inv = i11, i12, i22 = _ridged_inverse(
                 self.p, self.p1, self.m11, j, ws.grid.points
             )
@@ -328,9 +344,16 @@ class _AxisStats:
         return self._rows
 
 
-def _band_side(sa: _AxisStats, sb: _AxisStats) -> bool:
-    """Whether the second axis of a pair is its band side: the wider band,
-    ties going to the lower axis, so the key alone decides."""
+def _band_side(sa: _AxisStats, sb: _AxisStats, recent=None) -> bool:
+    """Whether the second axis of a pair is its band side.  In a scan,
+    ``recent`` says which of the two was scanned most recently (0 the
+    first, 1 the second; see ``Workspace._pair_keys``), and a pair of two
+    banded axes takes it as its band side.  Outside scans (``recent``
+    None), and wherever an axis is dense, the band side is the wider
+    band, ties going to the first axis: a dense axis is always the wider
+    band."""
+    if recent is not None and sa.order is not None and sb.order is not None:
+        return recent == 1
     return sb.width > sa.width
 
 
@@ -348,64 +371,82 @@ def _slope_rows(st: _AxisStats, points: np.ndarray, run, out: np.ndarray) -> np.
     return _slopes(st.w[:, start:stop], st.x[start:stop], points[first : first + st.width, None], out)
 
 
-def _lay_out(st: _AxisStats, order, points: np.ndarray, buf: np.ndarray) -> np.ndarray:
+def _lay_out(st: _AxisStats, order, points: np.ndarray, buf: np.ndarray, written):
     """The weights of ``st`` as one dense array, level rows over slope
     rows ((G, n) or (2G, n)), with columns in ``order``, the band side's
-    (None for input order).
+    (None for input order), and where in ``buf`` entries may now be
+    nonzero: None for anywhere, or ``(base, width)``, the flat index in a
+    (G, n) half of each column's first written row and the count of rows
+    written from it.
 
-    A dense axis is only ever laid out in input order: its width is G, so
-    it is the wider band of its pair, and the band side is dense too.
-    Level-only, it is returned as it is (``w``).  Otherwise the weights
-    are written into ``buf``, of exactly the layout's rows.  A dense axis
-    is copied into place.  A banded axis gathers its ``width`` rows, its
-    covariate and each observation's first grid index into ``order``, and
-    scatters the rows into the zeroed layout in one call.  The slope rows
-    are formed from the gathered weights and covariate in one pass
-    (``_slopes``), so every value is bitwise the one a layout of stored
-    slope weights would hold.
+    A dense axis in input order and level-only is returned as it is
+    (``w``), and ``buf`` is left as it was.  Otherwise the weights are
+    written into ``buf``, of exactly the layout's rows.  A dense axis is
+    copied (gathered) into place.  A banded axis gathers its ``width``
+    rows, its covariate and each observation's first grid index into
+    ``order`` and scatters the rows into the zeroed layout in one call;
+    ``buf`` is zero but where ``written`` says, the last layout's rows,
+    and only those are reset.  The slope rows are formed from the
+    gathered weights and covariate in one pass (``_slopes``), so every
+    value is bitwise the one a layout of stored slope weights would hold.
     """
-    assert order is None or st.order is not None, "a dense partner in a banded order"
     slopes = st.inv is not None
-    if st.order is None and not slopes:
-        return st.w
+    if st.order is None and order is None and not slopes:
+        return st.w, written
     g = len(points)
     level, slope = buf[:g], buf[g : 2 * g]
     if st.order is None:
-        level[...] = st.w
-        _slopes(level, st.x, points[:, None], slope)
-    else:
-        pos = st.rank if order is None else st.rank[order]
-        n = len(pos)
-        runs = np.array(st.runs)
-        first = np.repeat(runs[:, 0], runs[:, 2] - runs[:, 1])[pos]
-        rows = first + np.arange(st.width)[:, None]
-        # Flat indices into a (G, n) half, so that each half takes one
-        # scatter: over the layouts of an n = 20000 selection, a tenth
-        # faster than ``np.put_along_axis`` on ``rows``.
-        flat = rows * n
-        flat += np.arange(n)
-        w = np.take(st.w, pos, axis=1, mode="clip")
-        level.fill(0.0)
-        level.reshape(-1)[flat] = w
+        x = st.x
+        if order is None:
+            level[...] = st.w
+        else:
+            np.take(st.w, order, axis=1, out=level)
+            x = x[order]
         if slopes:
-            u = points[rows]
-            slope.fill(0.0)
-            slope.reshape(-1)[flat] = _slopes(w, st.x[pos], u, u)
-    return buf[: (2 if slopes else 1) * g]
+            _slopes(level, x, points[:, None], slope)
+        return buf[: (2 if slopes else 1) * g], None
+    pos = st.rank if order is None else st.rank[order]
+    n = len(pos)
+    runs = np.array(st.runs)
+    first = np.repeat(runs[:, 0], runs[:, 2] - runs[:, 1])[pos]
+    halves = buf.reshape(len(buf) // g, g * n)
+    if written is None:
+        buf.fill(0.0)
+    else:
+        base, width = written
+        last = base + np.arange(0, width * n, n)[:, None]
+        for half in halves:
+            # Per half: one fancy-index call over both halves took twice
+            # as long at n = 100000.
+            half[last] = 0.0
+        del last
+    rows = first + np.arange(st.width)[:, None]
+    # Flat indices into a (G, n) half, so that each half takes one
+    # scatter: over the layouts of an n = 20000 selection, a tenth faster
+    # than ``np.put_along_axis`` on ``rows``.
+    flat = rows * n
+    flat += np.arange(n)
+    w = np.take(st.w, pos, axis=1, mode="clip")
+    halves[0][flat] = w
+    if slopes:
+        u = points[rows]
+        halves[1][flat] = _slopes(w, st.x[pos], u, u)
+    return buf[: (2 if slopes else 1) * g], (flat[0].copy(), st.width)
 
 
-def _pair_product(ws: "Workspace", band: _AxisStats, layout: np.ndarray, flip: bool) -> tuple:
-    """The cached pair entry of axes a < b: ``(s,)`` with ``s`` the sample
-    average of outer products of their weights, rows on a's (level[,
-    slope]) and columns on b's; G x G level-only, else 2G x 2G.
+def _pair_product(ws: "Workspace", band: _AxisStats, layout: np.ndarray) -> tuple:
+    """The cached pair entry of the ordered axis pair (a, b): ``(s,)`` with
+    ``s`` the sample average of outer products of their weights, rows on
+    a's (level[, slope]) and columns on b's; G x G level-only, else
+    2G x 2G.
 
-    Per run of ``band``, the pair's band side (b where ``flip``, else a),
-    small products against the other axis laid out densely in the band
-    side's order (``layout``, from ``_lay_out``).  The band side's slope
-    rows of each run are formed into one reused scratch just before its
-    products (``_slope_rows``).  The level block is a product of its own,
-    so it holds the same numbers whether or not slopes were built.  A
-    dense band side is one run over the whole grid, written in place.
+    Per run of ``band``, the pair's band side a, small products against b
+    laid out densely in a's order (``layout``, from ``_lay_out``).  The
+    band side's slope rows of each run are formed into one reused scratch
+    just before its products (``_slope_rows``).  The level block is a
+    product of its own, so it holds the same numbers whether or not
+    slopes were built.  A dense band side is one run over the whole grid,
+    written in place.
     """
     g, k = ws.grid.size, band.width
     slopes = band.inv is not None
@@ -427,7 +468,7 @@ def _pair_product(ws: "Workspace", band: _AxisStats, layout: np.ndarray, flip: b
             if slopes:
                 out[g + first : g + first + k] += prod[k:]
     out /= ws.data.n
-    return (out.T if flip else out,)
+    return (out,)
 
 
 class Workspace:
@@ -445,7 +486,8 @@ class Workspace:
         self._pairs: dict = {}
         self._slopes = False
         # The layout memo of pair builds (see ``_partner``): ((band side's
-        # axis, band dense), partner, layout), and the buffer it lays out
+        # axis, band dense), partner, layout, where in the buffer the
+        # layout may have written nonzeros), and the buffer it lays out
         # into; ``prepare`` drops both when it returns.
         self._layout = self._layout_buf = None
         # The selectors' solved backfits (see ``selectors._FitCache``):
@@ -453,7 +495,8 @@ class Workspace:
         # the slopes for local linear, or None where the solve failed.
         self._fits: dict = {}
         # The folded coupling blocks of the latest ``prepare`` that needed
-        # one: (smoother, a, b, ha, hb) -> (rows on a, rows on b).
+        # one: (smoother, a, b, ha, hb) -> (rows on a, rows on b), a the
+        # band side (see ``_pair_keys``).
         self._folded: dict = {}
         # Each axis's sort order, its inverse and its covariate in that
         # order, for banded axes.
@@ -503,9 +546,10 @@ class Workspace:
         self.switch_to_slopes()
         return self.axis(j, h).ll
 
-    def prepare(self, keys, smoother: str) -> None:
+    def prepare(self, keys, smoother: str, scan=None) -> None:
         """Build the missing axes and pairs that ``smoother`` ("nw" or
-        "ll") backfits at the bandwidth tuples ``keys`` read, then fold
+        "ll") backfits at the bandwidth tuples ``keys`` read in a scan of
+        axis ``scan`` (None outside scans; see ``_pair_keys``), then fold
         their coupling blocks.  With "ll" it switches the workspace to
         slopes first.
 
@@ -529,32 +573,52 @@ class Workspace:
             self.switch_to_slopes()
         d = self.data.d
         keys = [[float(v) for v in h] for h in keys]
-        pairs = [
-            [(smoother, a, b, h[a], h[b]) for a in range(d) for b in range(a + 1, d)]
-            for h in keys
-        ]
-        held = self._folded
-        # Held blocks imply built axes: a solve inside a prepared scan
-        # stops here.
-        if d > 1 and all(key in held for blocks in pairs for key in blocks):
-            return
         axes = {(j, h[j]) for h in keys for j in range(d)}
         for key in sorted(axes - self._axes.keys()):
             _built(self.axis, *key)
         if d < 2:
             return
         need = set()
-        for h, blocks in zip(keys, pairs):
+        for h in keys:
             if all(isinstance(self._axes[j, h[j]], _AxisStats) for j in range(d)):
-                need.update(blocks)
-        missing = sorted(need - held.keys())
+                need.update(self._pair_keys(h, smoother, scan))
+        held = self._folded
+        # In a scan, the pairs of two fixed axes first: one layout at most
+        # each, made while the store holds the fewest new blocks.
+        missing = sorted(need - held.keys(), key=lambda key: (scan in key[1:3], key))
         if not missing:
             return
-        store = {key: held[key] for key in need.intersection(held)}
+        # The held blocks that no key here reads are let go before the
+        # folds, so that they and the new ones are never held together.
+        self._folded = store = {key: held[key] for key in need.intersection(held)}
+        del held
         for i in range(0, len(missing), _FOLD_CHUNK):
             store.update(self._fold(missing[i : i + _FOLD_CHUNK]))
-        self._folded = store
         self._layout = self._layout_buf = None
+
+    def _pair_keys(self, h, smoother: str, scan=None) -> list:
+        """The keys (smoother, a, b, ha, hb) of the folded blocks that a
+        ``smoother`` solve at ``h`` (floats, every axis built) reads in a
+        scan of axis ``scan`` (None outside scans), one per pair: a is the
+        pair's band side (see ``_band_side``).
+
+        In a scan, of two banded axes the band side is the one scanned
+        most recently in the grid search's cyclic order 0, 1, ..., d - 1,
+        ``scan`` itself being the most recent.  So each pair with the
+        scanned axis lays its fixed partner out once for every candidate,
+        and a pair of two fixed axes reads the block that the scan of its
+        later axis built at their current bandwidths."""
+        d = self.data.d
+        axes = [self._axes[j, hj] for j, hj in enumerate(h)]
+        keys = []
+        for a in range(d):
+            for b in range(a + 1, d):
+                recent = None if scan is None else int((b - scan - 1) % d > (a - scan - 1) % d)
+                if _band_side(axes[a], axes[b], recent):
+                    keys.append((smoother, b, a, h[b], h[a]))
+                else:
+                    keys.append((smoother, a, b, h[a], h[b]))
+        return keys
 
     def _fold(self, chunk) -> dict:
         """The folded blocks of the pairs ``chunk``, keys (smoother, a, b,
@@ -582,23 +646,24 @@ class Workspace:
         return {key: (blocks[2 * i], blocks[2 * i + 1]) for i, key in enumerate(chunk)}
 
     def _pair_blocks(self, a: int, b: int, ha: float, hb: float):
-        """Coupling products for the ordered axis pair (a, b), a < b.
+        """Coupling products for the ordered axis pair (a, b), a != b, with
+        a as the band side.
 
         Returns a one-element tuple: the sample average of outer products
         of the two axes' weights, ``w_a @ w_b.T / n`` (G x G) on a
         level-only workspace and the stacked 2G x 2G block of (level,
-        slope) halves once it has switched to slopes.  On a miss it is
-        built here, on every path, with the band side's partner laid out
-        through the layout memo (``_partner``).
+        slope) halves once it has switched to slopes, rows on a.  On a
+        miss it is built here, on every path, from products per run of
+        axis a against axis b laid out in a's order through the layout
+        memo (``_partner``).  (b, a) holds its transpose to rounding,
+        built on b's runs.
         """
         key = (a, b, float(ha), float(hb))
         blocks = self._pairs.get(key)
         if blocks is None:
-            sa, sb = self.axis(a, ha), self.axis(b, hb)
-            flip = _band_side(sa, sb)
-            band, other = (sb, sa) if flip else (sa, sb)
-            layout = self._partner(b if flip else a, band, other)
-            blocks = self._pairs[key] = _pair_product(self, band, layout, flip)
+            band = self.axis(a, ha)
+            layout = self._partner(a, band, self.axis(b, hb))
+            blocks = self._pairs[key] = _pair_product(self, band, layout)
         return blocks
 
     def _partner(self, j: int, band: _AxisStats, other: _AxisStats) -> np.ndarray:
@@ -606,31 +671,33 @@ class Workspace:
         side on axis j: the memo's layout where the last pair laid out had
         its band side on axis j, as dense or banded, and the same partner
         entry; otherwise laid out anew into the memo's one buffer, of
-        exactly a layout's rows (G level-only, 2G with slopes)."""
+        exactly a layout's rows (G level-only, 2G with slopes), which is
+        reset where the last layout wrote (zeroed whole when new)."""
         shared = (j, band.order is None)
         memo = self._layout
         if memo is None or memo[0] != shared or memo[1] is not other:
-            g = self.grid.size
+            written = None if memo is None else memo[3]
             self._layout = None  # until the buffer holds the new layout
             if self._layout_buf is None:
-                rows = (2 if self._slopes else 1) * g
+                rows = (2 if self._slopes else 1) * self.grid.size
                 self._layout_buf = np.empty((rows, self.data.n))
-            layout = _lay_out(other, band.order, self.grid.points, self._layout_buf)
-            memo = self._layout = (shared, other, layout)
+            layout, written = _lay_out(
+                other, band.order, self.grid.points, self._layout_buf, written
+            )
+            memo = self._layout = (shared, other, layout, written)
         return memo[2]
 
-    def operators(self, h, smoother: str) -> np.ndarray:
-        """The coupling operators of a ``smoother`` solve at ``h``, shape
-        (d, r, d * r), copied from the folded blocks that ``prepare([h],
-        smoother)`` holds (see Solvers above)."""
+    def operators(self, h, smoother: str, scan=None) -> np.ndarray:
+        """The coupling operators of a ``smoother`` solve at ``h`` in a scan
+        of axis ``scan``, shape (d, r, d * r), copied from the folded
+        blocks that ``prepare([h], smoother, scan)`` holds (see Solvers
+        above)."""
         d = self.data.d
         r = (2 if smoother == "ll" else 1) * self.grid.size
         ops = np.zeros((d, r, d, r))
-        for a in range(d):
-            for b in range(a + 1, d):
-                ops[a, :, b], ops[b, :, a] = self._folded[
-                    smoother, a, b, float(h[a]), float(h[b])
-                ]
+        for key in self._pair_keys([float(v) for v in h], smoother, scan):
+            _, a, b, _, _ = key
+            ops[a, :, b], ops[b, :, a] = self._folded[key]
         return ops.reshape(d, r, d * r)
 
     # -- evaluation at the data points --------------------------------------
@@ -740,20 +807,22 @@ def nw_solve(
     tol: float = DEFAULT_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
     start_axis: int = 0,
+    scan=None,
 ):
     """Gauss-Seidel sweeps for the Nadaraya-Watson backfitting system,
-    each in cyclic axis order from ``start_axis``.
+    each in cyclic axis order from ``start_axis``, on the coupling blocks
+    of a scan of axis ``scan`` (None outside scans; see ``_pair_keys``).
 
     Returns (components, sweeps, changes) with components already
     normalized to have zero density-weighted mean per axis; the
     intercept is the response mean throughout.
     """
     d, g = ws.data.d, ws.grid.size
-    ws.prepare([h], "nw")
+    ws.prepare([h], "nw", scan)
     axes = [ws.axis(j, h[j]) for j in range(d)]
     base = np.array([ax.a0 / ax.p - ws.ybar for ax in axes])
     p = np.array([ax.p for ax in axes])
-    ops = ws.operators(h, "nw")
+    ops = ws.operators(h, "nw", scan)
     m = np.zeros((d, g))
     if init is not None:
         m[:] = init
@@ -772,21 +841,23 @@ def ll_solve(
     tol: float = DEFAULT_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
     start_axis: int = 0,
+    scan=None,
 ):
     """Gauss-Seidel sweeps for the local linear backfitting system.
 
     Iterates the coupled (level, slope) updates, in cyclic axis order
     from ``start_axis``, with the intercept refreshed from the norming
-    functional at the start of every sweep.
+    functional at the start of every sweep, on the coupling blocks of a
+    scan of axis ``scan`` (None outside scans; see ``_pair_keys``).
     Returns (levels, slopes, sweeps, changes), normalized so that each
     component's norming functional vanishes and the intercept equals the
     response mean.  Switches the workspace to slopes first.
     """
-    ws.prepare([h], "ll")
+    ws.prepare([h], "ll", scan)
     d, g = ws.data.d, ws.grid.size
     rows = [ws.axis(j, h[j]).ll_rows(ws.tau) for j in range(d)]
     c, q, norm = (np.array(col) for col in zip(*rows))
-    ops = ws.operators(h, "ll")
+    ops = ws.operators(h, "ll", scan)
     state = np.zeros((d, 2 * g))
     if init is not None:
         state[:, :g] = init[0]

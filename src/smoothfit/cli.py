@@ -295,6 +295,13 @@ def cmd_simulate(args) -> int:
         grid_size=args.grid,
         workers=args.workers,
     )
+    outputs = [] if args.out == "-" else [args.out]
+    if args.csv_prefix:
+        outputs += [f"{args.csv_prefix}_{name}.csv" for name in ("quantiles", "logdiffs")]
+    # Every output opens before the study, appending nothing, so that an
+    # unwritable path fails at once and a writable file is left as it was.
+    for path in outputs:
+        _open(path, "a").close()
     report = run_study(config)
     _write_text(report.to_json(), args.out)
     if args.csv_prefix:

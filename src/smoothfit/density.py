@@ -117,13 +117,12 @@ def weight_matrix(kernel: KernelSpec, h: float, grid: Grid, x: np.ndarray) -> np
         so no grid mass covers it.
     """
     x = np.asarray(x, dtype=float).ravel()
-    return _band_weights(kernel, h, grid, x, grid.size, [(0, 0, x.size)])[0]
+    return _band_weights(kernel, h, grid, x, grid.size, [(0, 0, x.size)])
 
 
-def _band_weights(kernel, h, grid, x, width, runs, rank=None, out=None):
-    """Grid-normalized kernel weights on a band of the grid (written into
-    ``out`` when given), and the offsets ``X - u`` they were taken at,
-    both of shape (width, n).
+def _band_weights(kernel, h, grid, x, width, runs, rank=None, out=None, each_run=None):
+    """Grid-normalized kernel weights on a band of the grid, of shape
+    (width, n), written into ``out`` when given.
 
     Each run ``(first, start, stop)`` gives the observations
     ``x[start:stop]`` the ``width`` grid points from index ``first`` on,
@@ -132,25 +131,34 @@ def _band_weights(kernel, h, grid, x, width, runs, rank=None, out=None):
     input positions to positions in ``x`` (None: ``x`` is in input
     order), so that an empty neighborhood is reported at the first such
     observation in input order.  Raises as ``weight_matrix``.
+
+    The weights are formed run by run, the scaled offsets ``(X - u) / h``
+    in the output itself, so that every temporary spans one run.
+    ``each_run``, when given, is called as ``each_run(run, offset)`` once a
+    run's weights are in place, with ``offset`` the run's ``X - u``.
     """
     check_bandwidth(h)
-    offset = np.empty((width, x.size))
-    for first, start, stop in runs:
-        np.subtract(x[start:stop], grid.points[first : first + width, None],
-                    out=offset[:, start:stop])
-    raw = kernel.fn(offset / h)
+    t = np.empty((width, x.size)) if out is None else out
     mass = np.empty(x.size)
-    for first, start, stop in runs:
-        np.matmul(grid.weights[first : first + width], raw[:, start:stop],
-                  out=mass[start:stop])
-    if np.any(mass <= 0.0):
+    for run in runs:
+        first, start, stop = run
+        cols = slice(start, stop)
+        diff = np.subtract(x[cols], grid.points[first : first + width, None], out=t[:, cols])
+        offset = None if each_run is None else diff.copy()
+        raw = kernel.fn(np.divide(diff, h, out=diff))
+        m = np.matmul(grid.weights[first : first + width], raw, out=mass[cols])
+        if not m.min() <= 0.0:  # a NaN mass divides, as a positive one
+            np.divide(raw, m, out=t[:, cols])
+            if each_run is not None:
+                each_run(run, offset)
+    if mass.min() <= 0.0:
         if rank is not None:
             x, mass = x[rank], mass[rank]
         i = int(np.argmin(mass))
         raise EmptyNeighborhoodError(
             axis=None, where=float(x[i]), detail=f"observation {i}, bandwidth {h:g}"
         )
-    return np.divide(raw, mass, out=out), offset
+    return t
 
 
 def _check_axis(data: Dataset, j: int) -> np.ndarray:

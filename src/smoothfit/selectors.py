@@ -242,6 +242,11 @@ class _FitCache:
     ``failed``.  The public backfits never read the store and always
     start cold.
 
+    A grid search names the axis it scans (``scan``), and the fits and
+    blocks of that scan are solved and folded on that scan's coupling
+    blocks (see ``_engine.Workspace._pair_keys``); outside scans, as in
+    the plug-in loops, ``scan`` is None.
+
     A key that is not stored is warm-started from this run's last fit.
     Where the two differ in one axis j, the sweeps update axis j first;
     where the fit before the last one differs from it in axis j alone too,
@@ -261,22 +266,22 @@ class _FitCache:
         # This run's last two fits as (key, solution), the newest last.
         self.recent = []
 
-    def prepare(self, keys):
-        """Build the caches that fits at ``keys`` will read and fold their
-        coupling blocks, all before the first fit: so the pairs are built
-        in sorted key order, in which those that share a partner's layout
-        follow each other, and folded in chunks.  Keys already in the
-        store of solved backfits are skipped, as they will not be
-        solved."""
+    def prepare(self, keys, scan=None):
+        """Build the caches that fits at ``keys`` in a scan of axis
+        ``scan`` will read and fold their coupling blocks, all before the
+        first fit: so the pairs are built in sorted key order, in which
+        those that share a partner's layout follow each other, and folded
+        in chunks.  Keys already in the store of solved backfits are
+        skipped, as they will not be solved."""
         head = (self.smoother, self.tol, self.max_sweeps)
         keys = [key for key in keys if (*head, key) not in self.ws._fits]
-        self.ws.prepare(keys, self.smoother)
+        self.ws.prepare(keys, self.smoother, scan)
 
-    def fit(self, key):
+    def fit(self, key, scan=None):
         store = self.ws._fits
         entry = (self.smoother, self.tol, self.max_sweeps, key)
         if entry not in store:
-            store[entry] = self._solve(key)
+            store[entry] = self._solve(key, scan)
         solution = store[entry]
         if solution is None:
             self.failed.add(key)
@@ -284,15 +289,17 @@ class _FitCache:
         self.recent = [*self.recent[-1:], (key, solution)]
         return solution[0]
 
-    def _solve(self, key):
-        """(levels,) for NW or (levels, slopes) for LL at ``key``, or None
-        when the backfit fails."""
+    def _solve(self, key, scan):
+        """(levels,) for NW or (levels, slopes) for LL at ``key`` in a scan
+        of axis ``scan``, or None when the backfit fails."""
         init, start = self._warm_start(key)
         if init is not None and self.smoother == "nw":
             init = init[0]
         solve = getattr(_engine, f"{self.smoother}_solve")
         try:
-            *curves, _, _ = solve(self.ws, key, init, self.tol, self.max_sweeps, start_axis=start)
+            *curves, _, _ = solve(
+                self.ws, key, init, self.tol, self.max_sweeps, start_axis=start, scan=scan
+            )
         except SmoothfitError:
             return None
         return tuple(curves)
@@ -336,10 +343,10 @@ class _MarginalFit:
         self.ws = ws
         self.failed = set()
 
-    def prepare(self, keys):
+    def prepare(self, keys, scan=None):
         self.ws.prepare(keys, "ll")
 
-    def fit(self, key):
+    def fit(self, key, scan=None):
         try:
             return self.ws.ll_marginal(0, key[0])[0][None]
         except SmoothfitError:
@@ -468,17 +475,17 @@ def _scan(evaluate, cands, h, j) -> float:
     """Set ``h[j]`` to the candidate minimizing the objective with the
     other axes fixed, and return that minimum.
 
-    ``evaluate`` maps a list of bandwidth tuples to their objective
-    values (``inf`` marks a failed candidate).  Ties break toward the
-    smaller bandwidth because the candidate grid is ascending and
-    ``argmin`` takes the first hit.
+    ``evaluate(keys, j)`` maps a list of bandwidth tuples of the scan of
+    axis j to their objective values (``inf`` marks a failed candidate).
+    Ties break toward the smaller bandwidth because the candidate grid is
+    ascending and ``argmin`` takes the first hit.
     """
     trial = h.copy()
     keys = []
     for cand in cands:
         trial[j] = cand
         keys.append(tuple(trial))
-    vals = np.array(evaluate(keys), dtype=float)
+    vals = np.array(evaluate(keys, j), dtype=float)
     best = int(np.argmin(vals))
     if not np.isfinite(vals[best]):
         raise SelectorFailureError(f"every bandwidth candidate failed on axis {j}")
@@ -533,20 +540,20 @@ def _grid_search(fits, criterion, spec: BandwidthSearchSpec, method: str, once=F
     """
     memo = {}
 
-    def objective(key):
+    def objective(key, scan):
         val = memo.get(key)
         if val is None:
-            levels = fits.fit(key)
+            levels = fits.fit(key, scan)
             val = np.inf if levels is None else criterion(key, levels)
             memo[key] = val
         return val
 
-    def evaluate(keys):
+    def evaluate(keys, scan):
         # The scan's caches are built up front, so that partner layouts are
         # shared in sorted key order and the folds run in chunks; the fits
         # themselves stay in order for warm starts.
-        fits.prepare([key for key in keys if key not in memo])
-        return [objective(key) for key in keys]
+        fits.prepare([key for key in keys if key not in memo], scan)
+        return [objective(key, scan) for key in keys]
 
     def update(prev, flags):
         h = prev.copy()

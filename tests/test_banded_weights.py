@@ -4,7 +4,8 @@ A workspace keeps, per (axis, bandwidth), only the grid points each
 observation's kernel support can reach, with the observations in the
 axis's sort order.  These tests scatter the band back and compare it and
 its statistics with ``weight_matrix``; check that a pair block depends on
-its key alone, not on who built it; and bound the memory the caches keep.
+its key and band side alone, not on who built it; and bound the memory
+the caches keep.
 """
 
 import numpy as np
@@ -114,63 +115,113 @@ def _check_band(data, h, kernel, grid):
     _close(ax.a1, (w * offset) @ data.y / n, 1e-13)
 
 
-def _pair_sources(data, spec, slopes):
-    """Every way a pair block gets built: on demand, in a solve's
-    ``prepare`` and in a scan of either axis."""
-    h = tuple(float(c) for c in spec.candidates[[3, 9, 6]])
-    smoother = "ll" if slopes else "nw"
-    cands = [float(c) for c in spec.candidates]
-
-    def workspace():
-        ws = _engine.Workspace(data, GRID, BIWEIGHT)
-        if slopes:
-            ws.switch_to_slopes()
-        return ws
-
-    def scan(j):
-        ws = workspace()
-        ws.prepare([h[:j] + (c,) + h[j + 1 :] for c in cands], smoother)
-        return ws
-
-    def solve():
-        ws = workspace()
-        ws.prepare([h], smoother)
-        return ws
-
-    return h, cands, [workspace, lambda: scan(0), lambda: scan(1), solve]
-
-
-@pytest.mark.parametrize("slopes", [False, True])
-def test_pair_block_depends_on_its_key_alone(slopes, monkeypatch):
-    # n = 600 with the band rule lowered, so that banded axes and shared
-    # layouts take part.
+def _banded_sample(monkeypatch):
+    """An n = 600 m1 sample with the band rule lowered, so that banded
+    axes, shared layouts and both band sides take part, and its search
+    spec: candidates 0-20 are banded on every axis, 21-24 dense."""
     monkeypatch.setattr(_engine, "_BAND_RUN", 10)
     cfg = SimConfig(model="m1", n=600, rho=0.5, seed=8)
     data, _ = generate(cfg, 0)
-    h, cands, sources = _pair_sources(data, cfg.search_spec(), slopes)
+    return data, cfg.search_spec()
+
+
+def _workspace(data, slopes):
+    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    if slopes:
+        ws.switch_to_slopes()
+    return ws
+
+
+def _scan_keys(h, j, cands):
+    return [h[:j] + (c,) + h[j + 1 :] for c in cands]
+
+
+@pytest.mark.parametrize("slopes", [False, True])
+def test_pair_block_depends_on_its_key_and_band_side(slopes, monkeypatch):
+    data, spec = _banded_sample(monkeypatch)
+    smoother = "ll" if slopes else "nw"
+    solve = _engine.ll_solve if slopes else _engine.nw_solve
+    cands = [float(c) for c in spec.candidates]
+    h = tuple(cands[i] for i in (3, 9, 6))
+
+    def scan(j):
+        def build():
+            ws = _workspace(data, slopes)
+            ws.prepare(_scan_keys(h, j, cands), smoother, scan=j)
+            return ws
+        return build
+
+    def solves():
+        ws = _workspace(data, slopes)
+        solve(ws, h)
+        for j in range(3):
+            solve(ws, h, scan=j)
+        return ws
+
+    def history():
+        # Scans and solves in another order on one workspace.
+        ws = _workspace(data, slopes)
+        for j in (2, 1, 0):
+            ws.prepare(_scan_keys(h, j, cands[::3]), smoother, scan=j)
+        solve(ws, h)
+        return ws
+
+    sources = {
+        "on demand": lambda: _workspace(data, slopes),
+        "solves": solves,
+        "scan of 0": scan(0),
+        "scan of 1": scan(1),
+        "history": history,
+    }
+    # Every (key, band side) of the pair scanned either way, band side
+    # first, and of the other pairs at h.
     keys = [(0, 1, c, h[1]) for c in cands] + [(0, 1, h[0], c) for c in cands]
     keys += [(0, 2, h[0], h[2]), (1, 2, h[1], h[2])]
-    built = []
-    for source in sources:
+    keys += [(b, a, hb, ha) for a, b, ha, hb in keys]
+    built, by = {}, {}
+    for name, source in sources.items():
         ws = source()
-        built.append([ws._pair_blocks(*key)[0].tobytes() for key in keys])
-    assert all(b == built[0] for b in built[1:])
-    # Banded axes on both band sides of the scanned pairs.
-    ws = sources[1]()
-    flips = {_engine._band_side(ws.axis(0, c), ws.axis(1, h[1])) for c in cands}
-    assert flips == {False, True}
-    assert ws.axis(1, h[1]).order is not None
+        by[name] = set(ws._pairs)
+        built[name] = [ws._pair_blocks(*key)[0].tobytes() for key in keys]
+    assert all(blocks == built["on demand"] for blocks in built.values())
+    # Each source built some of these blocks itself, and the scans built
+    # the scanned axis's side, banded and dense.
+    for name in sources:
+        assert name == "on demand" or by[name] & set(keys), name
+    probe = _workspace(data, slopes)
+    for j, name in enumerate(["scan of 0", "scan of 1"]):
+        sides = {key[0] for key in by[name] if j in key[:2]}
+        assert sides == {j}
+        dense = {probe.axis(j, key[2]).order is None for key in by[name] if key[0] == j}
+        assert dense == {True, False}
+
+
+@pytest.mark.parametrize("slopes", [False, True])
+def test_the_two_band_sides_of_a_key_agree_to_rounding(slopes, monkeypatch):
+    data, spec = _banded_sample(monkeypatch)
+    ws = _workspace(data, slopes)
+    cands = [float(c) for c in spec.candidates]
+    sides = set()
+    for ha in cands[::4]:
+        for hb in cands[1::4]:
+            one = ws._pair_blocks(0, 1, ha, hb)[0]
+            other = ws._pair_blocks(1, 0, hb, ha)[0]
+            _close(one, other.T, 1e-14)
+            sides.add((ws.axis(0, ha).order is None, ws.axis(1, hb).order is None))
+    # Banded and dense axes on either side.
+    assert sides == {(False, False), (False, True), (True, False), (True, True)}
 
 
 @pytest.mark.parametrize("slopes", [False, True])
 def test_a_scan_lays_each_partner_out_once_per_group(slopes, monkeypatch):
-    # Pairs whose band sides are on one axis, alike dense or banded, and
-    # whose partner is one entry share a layout; the scan's pairs are
-    # built in sorted key order, so each such group is laid out once.
-    monkeypatch.setattr(_engine, "_BAND_RUN", 10)
-    cfg = SimConfig(model="m1", n=600, rho=0.5, seed=8)
-    data, _ = generate(cfg, 0)
-    h, cands, _ = _pair_sources(data, cfg.search_spec(), slopes)
+    # In a scan, the scanned axis is the band side of each of its pairs,
+    # banded or dense, so each fixed partner is laid out once per group
+    # of candidates, banded or dense; pairs whose band sides are on one
+    # axis, alike dense or banded, and whose partner is one entry share a
+    # layout, and the scan's pairs are built in sorted key order.
+    data, spec = _banded_sample(monkeypatch)
+    cands = [float(c) for c in spec.candidates]
+    h = tuple(cands[i] for i in (3, 9, 6))
     laid = []
     lay_out = _engine._lay_out
 
@@ -179,18 +230,23 @@ def test_a_scan_lays_each_partner_out_once_per_group(slopes, monkeypatch):
         return lay_out(*args)
 
     monkeypatch.setattr(_engine, "_lay_out", counting)
-    ws = _engine.Workspace(data, GRID, BIWEIGHT)
-    ws.prepare([(c, h[1], h[2]) for c in cands], "ll" if slopes else "nw")
-    groups = set()
-    for a, b, ha, hb in ws._pairs:
-        sa, sb = ws.axis(a, ha), ws.axis(b, hb)
-        flip = _engine._band_side(sa, sb)
-        band, other = (sb, sa) if flip else (sa, sb)
-        groups.add((b if flip else a, band.order is None, id(other)))
-    assert len(laid) == len(groups) < len(ws._pairs)
-    # Both band sides, and banded band sides, take part.
-    assert {key[:2] for key in groups} >= {(0, False), (1, False)}
-    assert ws._layout is None and ws._layout_buf is None
+    for j in range(3):
+        laid.clear()
+        ws = _engine.Workspace(data, GRID, BIWEIGHT)
+        ws.prepare(_scan_keys(h, j, cands), "ll" if slopes else "nw", scan=j)
+        groups = {
+            (a, ws.axis(a, ha).order is None, id(ws.axis(b, hb))) for a, b, ha, hb in ws._pairs
+        }
+        assert len(laid) == len(groups) < len(ws._pairs)
+        # One layout per fixed partner for the banded candidates, one for
+        # the dense ones, and one for the pair of fixed axes, on the side
+        # of the one scanned last before j.
+        k, l = sorted((k for k in range(3) if k != j), key=lambda k: (k - j - 1) % 3)
+        fixed = {k: id(ws.axis(k, h[k])) for k in (k, l)}
+        want = {(j, dense, fixed[k]) for k in fixed for dense in (False, True)}
+        assert groups == want | {(l, False, fixed[k])}
+        assert len(laid) == 5
+        assert ws._layout is None and ws._layout_buf is None
 
 
 def test_nadaraya_watson_does_not_depend_on_the_workspace_history():
@@ -284,10 +340,12 @@ def test_slope_weights_formed_on_demand_match_stored_ones(n, kernel):
             band, other = (sb, sa) if flip else (sa, sb)
             seen.add((band.order is None, other.order is None, flip))
             want = _stored_layout(other, _stored_slopes(other, points), band.order, g)
-            got = _engine._lay_out(other, band.order, points, buf)
+            got, _ = _engine._lay_out(other, band.order, points, buf, None)
             assert got.tobytes() == want.tobytes()
             block = _stored_product(band, _stored_slopes(band, points), want, g, n)
-            assert ws._pair_blocks(0, 1, ha, hb)[0].tobytes() == (block.T if flip else block).tobytes()
+            # The block is keyed by its band side, named first.
+            key = (1, 0, hb, ha) if flip else (0, 1, ha, hb)
+            assert ws._pair_blocks(*key)[0].tobytes() == block.tobytes()
     # A dense axis is the wider band, so it is never the partner of a
     # banded band side.
     assert not any(not band_dense and other_dense for band_dense, other_dense, _ in seen)
@@ -330,16 +388,40 @@ def test_one_pass_layouts_match_the_stored_ones(kernel, slopes):
     cases += [(dense[0], dense[1].order)]
     for st, order in cases:
         want = _stored_layout(st, _stored_slopes(st, points), order, g)[:rows]
-        got = _engine._lay_out(st, order, points, np.empty((rows, n)))
+        got, _ = _engine._lay_out(st, order, points, np.empty((rows, n)), None)
         assert got.shape == (rows, n) and got.tobytes() == want.tobytes()
     # Through the pair path, the memo's buffer holds the layout's rows and
     # no more.
     assert ws._layout_buf is None
-    ws._pair_blocks(0, 1, 0.25, 0.4)
+    ws._pair_blocks(1, 0, 0.4, 0.25)
     band, other = banded[1, 0.4], banded[0, 0.25]
     want = _stored_layout(other, _stored_slopes(other, points), band.order, g)[:rows]
     assert ws._layout_buf.shape == (rows, n)
     assert ws._layout[2].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("slopes", [False, True], ids=["level", "slopes"])
+def test_a_layout_resets_only_what_the_last_one_wrote(slopes, monkeypatch):
+    # One band side, partners wide, narrow, dense (gathered into the
+    # band's order, which writes the whole buffer) and narrow again:
+    # each layout in the memo's reused buffer is the stored one, bit for
+    # bit, though only a dense one before it makes the buffer refilled.
+    data, _ = _banded_sample(monkeypatch)
+    ws = _workspace(data, slopes)
+    g, n, points = GRID.size, data.n, GRID.points
+    rows = (2 if slopes else 1) * g
+    band = ws.axis(0, 0.1)
+    for h in (0.4, 0.08, 0.6, 0.09, 0.3):
+        ws._pair_blocks(0, 1, 0.1, h)
+        other = ws.axis(1, h)
+        want = _stored_layout(other, _stored_slopes(other, points), band.order, g)[:rows]
+        _, partner, layout, written = ws._layout
+        assert partner is other and layout.tobytes() == want.tobytes()
+        if other.order is None:
+            assert written is None
+        else:
+            base, width = written
+            assert base.shape == (n,) and width == other.width
 
 
 def test_a_local_linear_scan_keeps_only_the_level_weights():

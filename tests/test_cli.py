@@ -287,6 +287,28 @@ class TestUnwritableOutput:
         assert err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("argv", [
+        [*SIMULATE, "--out", "-", "--csv-prefix", "{missing}/plot"],
+        [*SIMULATE, "--out", "{missing}/x.json"],
+        [*SIMULATE, "--out", "{tmp}/kept.json", "--csv-prefix", "{missing}/plot"],
+    ], ids=["stdout-csv-prefix", "out", "file-csv-prefix"])
+    def test_simulate_checks_every_output_before_the_study(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        def study(config):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(cli, "run_study", study)
+        kept = tmp_path / "kept.json"
+        kept.write_text("as it was\n", encoding="utf-8")
+        names = dict(tmp=tmp_path, missing=tmp_path / "missing")
+        assert main([a.format(**names) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("smoothfit: cannot write ") and err.count("\n") == 1
+        assert kept.read_text(encoding="utf-8") == "as it was\n"
+
+
 class TestEntryPoint:
     def test_module_invocation(self, csv1):
         proc = run_module("smoothfit.cli", "fit", csv1, "--h", "0.3")

@@ -368,24 +368,24 @@ def test_every_start_axis_reaches_the_reference_fixed_point(seed, d, warm, data_
 # must give the same numbers bit for bit.
 
 
-def _assembled_coupling(ws, h, r):
+def _assembled_coupling(ws, h, r, scan):
     d = ws.data.d
     out = np.zeros((d, r, d, r))
-    for a in range(d):
-        for b in range(a + 1, d):
-            blk = ws._pair_blocks(a, b, h[a], h[b])[0][:r, :r]
-            out[a, :, b, :] = blk
-            out[b, :, a, :] = blk.T
+    # Each pair from the band side that a solve in this scan reads.
+    for _, a, b, ha, hb in ws._pair_keys([float(v) for v in h], "", scan):
+        blk = ws._pair_blocks(a, b, ha, hb)[0][:r, :r]
+        out[a, :, b, :] = blk
+        out[b, :, a, :] = blk.T
     out *= np.tile(ws.tau, (d, r // ws.grid.size))
     return out.reshape(d, r, d * r)
 
 
-def assembled_nw_solve(ws, h, init=None, tol=1e-6, max_sweeps=200, start_axis=0):
+def assembled_nw_solve(ws, h, init=None, tol=1e-6, max_sweeps=200, start_axis=0, scan=None):
     d, g = ws.data.d, ws.grid.size
     axes = [ws.axis(j, h[j]) for j in range(d)]
     base = np.array([ax.a0 / ax.p for ax in axes]) - ws.ybar
     p = np.array([ax.p for ax in axes])
-    ops = _assembled_coupling(ws, h, g)
+    ops = _assembled_coupling(ws, h, g, scan)
     ops /= p[:, :, None]
     m = np.zeros((d, g))
     if init is not None:
@@ -395,7 +395,7 @@ def assembled_nw_solve(ws, h, init=None, tol=1e-6, max_sweeps=200, start_axis=0)
     return m, len(changes), changes
 
 
-def assembled_ll_solve(ws, h, init=None, tol=1e-6, max_sweeps=200, start_axis=0):
+def assembled_ll_solve(ws, h, init=None, tol=1e-6, max_sweeps=200, start_axis=0, scan=None):
     ws.switch_to_slopes()
     d, g = ws.data.d, ws.grid.size
     axes = [ws.axis(j, h[j]) for j in range(d)]
@@ -406,7 +406,7 @@ def assembled_ll_solve(ws, h, init=None, tol=1e-6, max_sweeps=200, start_axis=0)
     c = np.array([np.concatenate(ax.ll) for ax in axes])
     q = np.concatenate([i11 * p + i12 * p1, i12 * p + i22 * p1], axis=1)
     norm = np.concatenate([ws.tau * p, ws.tau * p1], axis=1)
-    ops = _assembled_coupling(ws, h, 2 * g)
+    ops = _assembled_coupling(ws, h, 2 * g, scan)
     rows = ops.reshape(d, 2, g, 2 * d * g)
     swapped = rows[:, ::-1] * i12[:, None, :, None]
     rows *= np.stack([i11, i22], axis=1)[..., None]

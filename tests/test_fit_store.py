@@ -115,6 +115,34 @@ def test_public_backfits_start_cold_and_bypass_the_store():
     assert ws._fits == stored
 
 
+@pytest.mark.parametrize("smoother", ["ll", "nw"])
+def test_public_backfits_on_a_banded_selection_workspace_equal_fresh_ones(
+    smoother, monkeypatch
+):
+    # Banded axes (the band rule lowered): the selection's scans build
+    # pair blocks on the scanned axis's band side, and a public backfit
+    # reads those of its own, so it equals a fresh one bit for bit.
+    monkeypatch.setattr(_engine, "_BAND_RUN", 10)
+    cfg = SimConfig(model="m1", n=600, rho=0.5, seed=6)
+    data, _ = generate(cfg, 0)
+    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    sel = select_pls(data, smoother, cfg.search_spec(), GRID, workspace=ws)
+    narrow_sides = [
+        (a, b, ha, hb) for a, b, ha, hb in ws._pairs
+        if ws.axis(b, hb).order is not None and ws.axis(a, ha).width < ws.axis(b, hb).width
+    ]
+    assert narrow_sides
+    stored = dict(ws._fits)
+    backfits = (backfit_ll, backfit_nw) if smoother == "ll" else (backfit_nw,)
+    for backfit in backfits:
+        for h in (sel.bandwidths, sel.trace[0]["h"]):
+            shared = backfit(data, h, GRID, workspace=ws)
+            alone = backfit(data, h, GRID)
+            assert shared.iterations == alone.iterations
+            assert shared.components.tobytes() == alone.components.tobytes()
+    assert ws._fits == stored
+
+
 def test_scan_warm_starts_extrapolate_along_the_scanned_axis():
     cfg = SimConfig(model="m1", n=120, seed=7)
     data, _ = generate(cfg, 0)
