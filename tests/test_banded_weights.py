@@ -357,6 +357,44 @@ def test_slope_weights_formed_on_demand_match_stored_ones(n, kernel):
                 (False, False, True), (True, True, False)} <= seen
 
 
+@pytest.mark.parametrize("n", [400, 1000, 5000, 20000])
+def test_the_band_layout_equals_the_per_observation_search(n):
+    # The build searches the G grid points among the sorted observations;
+    # its width and runs must be those of searching each observation's
+    # support among the grid points.  Besides uniform draws, observations
+    # sit at the grid points plus or minus h and plus or minus h with the
+    # slack, where most searches meet a tie; on the samples of the latter
+    # alone, one side each, the observations that meet a tie are the
+    # widest.
+    rng = np.random.default_rng(n)
+    g, points = GRID.size, GRID.points
+    # Some of them whole multiples of the grid step.
+    hs = (0.01, 0.02, 1 / 24, 0.06, 0.125, 0.13, 0.25, 0.3, 0.5, 0.9)
+
+    def at(steps, size):
+        edges = np.concatenate([points + step for step in steps])
+        edges = edges[(edges >= 0.0) & (edges <= 1.0)]
+        return rng.choice(edges, size, replace=len(edges) < size)
+
+    x = rng.uniform(0.0, 1.0, (n, 2))
+    steps = [s * h for h in hs for s in (1.0, -1.0)]
+    steps += [s * (h + _engine._SUPPORT_SLACK) for h in hs for s in (1.0, -1.0)]
+    x[: n // 2, 1] = at(steps, n // 2)
+    samples = [(xs, hs) for xs in x.T]
+    samples += [(at([side * (h + _engine._SUPPORT_SLACK)], n), [h])
+                for h in hs for side in (1.0, -1.0)]
+    for xs, widths in samples:
+        xs = np.sort(xs)
+        for h in widths:
+            reach = h + _engine._SUPPORT_SLACK
+            lo = np.searchsorted(points, xs - reach)
+            width = int((np.searchsorted(points, xs + reach, side="right") - lo).max())
+            first = np.minimum(lo, g - width)
+            cut = (np.flatnonzero(np.diff(first)) + 1).tolist()
+            runs = list(zip(first[[0, *cut]].tolist(), [0, *cut], [*cut, n]))
+            assert _engine._band(points, xs, h) == (width, runs)
+
+
 def _clamped(st, h, points):
     """How many observations of the banded ``st`` have their first grid
     point clamped down to G - width."""
