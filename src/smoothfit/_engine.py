@@ -5,23 +5,21 @@ bandwidth) or on a pair of them: every axis it builds, and the pair
 blocks of the last outer iteration of a grid search (see the pair window
 below).  Bandwidth selectors evaluate hundreds of backfits over a fixed
 candidate grid, so these caches (plus warm starts) dominate the running
-time.  A workspace fixes one sample, one grid and one kernel;
-``workspace_for`` is the one place that picks their defaults and builds a
-workspace for a fit or a selection, and it rejects a given workspace
-built on another sample, grid or kernel.
+time.  A workspace fixes one sample, one grid, one kernel and one
+smoother; ``workspace_for`` is the one place that picks their defaults
+and builds a workspace for a fit or a selection, and it rejects a given
+workspace built on another sample, grid or kernel, or for the other
+smoother.
 
-Layout.  A workspace starts level-only, which is all the Nadaraya-Watson
-smoother reads.  Per (axis, bandwidth), ``_AxisStats`` keeps the
-grid-normalized kernel weights ``w``, the marginal density ``p`` and the
-kernel-weighted response sums.  The first local linear request
-(``Workspace.prepare`` with "ll", which ``ll_solve`` calls, or
-``Workspace.ll_marginal``) switches the workspace to (level, slope)
-statistics for good, before it fetches any axis.  The switch drops every
-cached axis and pair, and from then on each axis also keeps the slope
-sums, the ridged moment inverse ``inv`` and the marginal local linear
-fit ``ll``; ``inv is not None`` marks such an entry.  No entry is ever
-upgraded in place; a level-only axis holds None for the local linear
-statistics.
+Layout.  Per (axis, bandwidth), ``_AxisStats`` keeps the grid-normalized
+kernel weights ``w``, the marginal density ``p`` and the kernel-weighted
+response sums: all that the Nadaraya-Watson smoother reads, and all that
+an axis of a Nadaraya-Watson workspace holds.  An axis of a local linear
+workspace also keeps the slope sums, the ridged moment inverse ``inv``
+and the marginal local linear fit ``ll``; ``inv is not None`` marks such
+an entry, and a Nadaraya-Watson axis holds None for these.  The rows of
+an axis's state and of its coupling blocks number ``Workspace.r``: G for
+Nadaraya-Watson and 2G, level over slope, for local linear.
 
 No entry keeps the slope weights ``b = w * (X - u)``: they are one
 subtraction and one product away from ``w`` and the covariate, which an
@@ -55,15 +53,16 @@ it.  On an n = 20000 local linear ``pls`` selection the kept weights take
 select`` peaks at about 140 MB instead of 650 MB.
 
 Per ordered axis pair (a, b), the pair cache holds the sample average of
-outer products of the weights, G x G level-only and the stacked 2G x 2G
-block ``[[s11, s21], [s12, s22]]`` (rows on axis a's (level, slope),
-columns on axis b's) after the switch.  It is built from small products
-per run of axis a, the band side, against axis b's weights laid out
-densely in a's order.  A banded partner is laid out from one gather of
-its ``width`` rows, its covariate and its first grid indices into that
-order, and one scatter into the layout per half; a dense one is copied
-(gathered) whole.  The layout takes exactly its G or 2G rows, with no
-scratch, in one buffer that is reset where the last layout wrote.  So a
+outer products of the weights: G x G on a Nadaraya-Watson workspace,
+and on a local linear one the stacked 2G x 2G block ``[[s11, s21],
+[s12, s22]]`` (rows on axis a's (level, slope), columns on axis b's).
+It is built from small products per run of axis a, the band side,
+against axis b's weights laid out densely in a's order.  A banded
+partner is laid out from one gather of its ``width`` rows, its
+covariate and its first grid indices into that order, and one scatter
+into the layout per half; a dense one is copied (gathered) whole.  The
+layout takes exactly its ``r`` rows, with no scratch, in one buffer
+that is reset where the last layout wrote.  So a
 block depends on its key and its band side alone, never on which scan,
 solve or selector built it, and (a, b) and (b, a) hold the same block to
 rounding.  The band side is picked per use (``Workspace._pair_keys``).
@@ -76,9 +75,6 @@ iterates), takes the wider band, ties going to the lower axis; a dense
 axis is always the wider band, so dense pairs, as at n = 200, are
 built as they always were.  A public backfit on a selection's workspace
 therefore reads the blocks a fresh one would build.
-The level block is a product of its own, so it holds the same numbers on
-either layout, and a Nadaraya-Watson fit does not depend on whether the
-workspace has switched.
 
 The pair window.  The pair cache keeps the blocks of one outer iteration,
 not every block it ever built.  Each coordinate scan's ``prepare`` that
@@ -119,7 +115,7 @@ start, as in ``backfit_ll`` and ``backfit_nw``, sweeps in the order
 0 .. d - 1.
 
 Solved backfits.  ``Workspace`` also keeps the selectors' solved
-backfits, keyed by (smoother, tol, max_sweeps, bandwidth tuple), so that
+backfits, keyed by (tol, max_sweeps, bandwidth tuple), so that
 the selectors of one simulation replicate share their solves; it is
 read and filled only by ``selectors._FitCache``.
 
@@ -288,11 +284,12 @@ class _AxisStats:
     A dense axis has width G, input order and one run.
 
     The build fails, with nothing kept, unless every grid point has a
-    positive density ``p`` and, with slopes, a moment matrix that the
-    ridge makes invertible; see ``_ridged_inverse``.  With slopes it
-    also keeps the inverse entries ``inv = (i11, i12, i22)`` and the
-    marginal local linear fit ``ll = (levels, slopes)``, arrays that
-    callers must not modify; without, these and the slope sums are None.
+    positive density ``p`` and, on a local linear workspace, a moment
+    matrix that the ridge makes invertible; see ``_ridged_inverse``.  On
+    a local linear workspace it also keeps the inverse entries ``inv =
+    (i11, i12, i22)`` and the marginal local linear fit ``ll = (levels,
+    slopes)``, arrays that callers must not modify; on a
+    Nadaraya-Watson one, these and the slope sums are None.
     The slope weights ``w * (X - u)`` are not kept (``_slope_rows`` forms
     them), and ``b`` is an empty (0, n) array.
     """
@@ -302,8 +299,9 @@ class _AxisStats:
         "p", "p1", "m11", "a0", "a1", "inv", "ll", "_rows",
     )
 
-    def __init__(self, ws: "Workspace", j: int, h: float, slopes: bool):
+    def __init__(self, ws: "Workspace", j: int, h: float):
         g, n = ws.grid.size, ws.data.n
+        slopes = ws.smoother == "ll"
         x, y = ws.data.x[:, j], ws.data.y
         self.order = self.rank = None
         self.runs = [(0, 0, n)]
@@ -356,16 +354,14 @@ class _AxisStats:
 
     def _total(self, g: int, rows: np.ndarray, y=None) -> np.ndarray:
         """Per grid point, the sample mean of the banded ``rows`` (times
-        ``y`` when given), as a length-G array."""
-        if self.order is None:
-            out = rows.sum(axis=1) if y is None else rows @ y
-        else:
-            out = np.zeros(g)
-            for first, start, stop in self.runs:
-                block = rows[:, start:stop]
-                out[first : first + self.width] += (
-                    block.sum(axis=1) if y is None else block @ y[start:stop]
-                )
+        ``y`` when given), as a length-G array: a sum over the runs, of
+        which a dense axis has one."""
+        out = np.zeros(g)
+        for first, start, stop in self.runs:
+            block = rows[:, start:stop]
+            out[first : first + self.width] += (
+                block.sum(axis=1) if y is None else block @ y[start:stop]
+            )
         return out / rows.shape[1]
 
     def ll_rows(self, tau: np.ndarray):
@@ -419,7 +415,7 @@ def _lay_out(st: _AxisStats, order, points: np.ndarray, buf: np.ndarray, written
     (G, n) half of each column's first written row and the count of rows
     written from it.
 
-    A dense axis in input order and level-only is returned as it is
+    A dense Nadaraya-Watson axis in input order is returned as it is
     (``w``), and ``buf`` is left as it was.  Otherwise the weights are
     written into ``buf``, of exactly the layout's rows.  A dense axis is
     copied (gathered) into place.  A banded axis gathers its ``width``
@@ -444,7 +440,7 @@ def _lay_out(st: _AxisStats, order, points: np.ndarray, buf: np.ndarray, written
             x = x[order]
         if slopes:
             _slopes(level, x, points[:, None], slope)
-        return buf[: (2 if slopes else 1) * g], None
+        return buf, None
     pos = st.rank if order is None else st.rank[order]
     n = len(pos)
     runs = np.array(st.runs)
@@ -471,22 +467,20 @@ def _lay_out(st: _AxisStats, order, points: np.ndarray, buf: np.ndarray, written
     if slopes:
         u = points[rows]
         halves[1][flat] = _slopes(w, st.x[pos], u, u)
-    return buf[: (2 if slopes else 1) * g], (flat[0].copy(), st.width)
+    return buf, (flat[0].copy(), st.width)
 
 
 def _pair_product(ws: "Workspace", band: _AxisStats, layout: np.ndarray) -> tuple:
     """The cached pair entry of the ordered axis pair (a, b): ``(s,)`` with
     ``s`` the sample average of outer products of their weights, rows on
-    a's (level[, slope]) and columns on b's; G x G level-only, else
-    2G x 2G.
+    a's (level[, slope]) and columns on b's; G x G on a Nadaraya-Watson
+    workspace, 2G x 2G on a local linear one.
 
     Per run of ``band``, the pair's band side a, small products against b
     laid out densely in a's order (``layout``, from ``_lay_out``).  The
     band side's slope rows of each run are formed into one reused scratch
-    just before its products (``_slope_rows``).  The level block is a
-    product of its own, so it holds the same numbers whether or not
-    slopes were built.  A dense band side is one run over the whole grid,
-    written in place.
+    just before its products (``_slope_rows``).  A dense band side is one
+    run over the whole grid, written in place.
     """
     g, k = ws.grid.size, band.width
     slopes = band.inv is not None
@@ -498,6 +492,10 @@ def _pair_product(ws: "Workspace", band: _AxisStats, layout: np.ndarray) -> tupl
         first, start, stop = run
         lay = layout[:, start:stop].T
         w = band.w[:, start:stop]
+        # The level and slope products stay separate, for bitwise outputs:
+        # merged into one product per run over the stacked rows, 140 of 140
+        # random blocks differed in the last bits, which moves every
+        # selection at rounding.
         np.matmul(w, lay[:, :g], out=prod[:k, :g])
         if slopes:
             np.matmul(w, lay[:, g:], out=prod[:k, g:])
@@ -512,12 +510,17 @@ def _pair_product(ws: "Workspace", band: _AxisStats, layout: np.ndarray) -> tupl
 
 
 class Workspace:
-    """Caches per-dataset smoothing state across many bandwidths."""
+    """Caches per-dataset smoothing state across many bandwidths, for one
+    smoother, "nw" or "ll"."""
 
-    def __init__(self, data: Dataset, grid: Grid, kernel: KernelSpec):
+    def __init__(self, data: Dataset, grid: Grid, kernel: KernelSpec, smoother: str):
         self.data = data
         self.grid = grid
         self.kernel = kernel
+        self.smoother = smoother
+        # The rows of an axis's state and of a coupling block: level, or
+        # level over slope.
+        self.r = (2 if smoother == "ll" else 1) * grid.size
         self.tau = grid.weights
         self.ybar = float(data.y.mean())
         # The outcome of each (axis, bandwidth) build: its _AxisStats, or
@@ -529,19 +532,18 @@ class Workspace:
         # clock of the last ``prepare`` that built or read its block.
         self._clock = 0
         self._seen: dict = {}
-        self._slopes = False
         # The layout memo of pair builds (see ``_partner``): ((band side's
         # axis, band dense), partner, layout, where in the buffer the
         # layout may have written nonzeros), and the buffer it lays out
         # into; ``prepare`` drops both when it returns.
         self._layout = self._layout_buf = None
         # The selectors' solved backfits (see ``selectors._FitCache``):
-        # (smoother, tol, max_sweeps, bandwidth tuple) -> the levels, and
-        # the slopes for local linear, or None where the solve failed.
+        # (tol, max_sweeps, bandwidth tuple) -> the levels, and the slopes
+        # for local linear, or None where the solve failed.
         self._fits: dict = {}
         # The folded coupling blocks of the latest ``prepare`` that needed
-        # one: (smoother, a, b, ha, hb) -> (rows on a, rows on b), a the
-        # band side (see ``_pair_keys``).
+        # one, keyed as ``_pairs``: (a, b, ha, hb) -> (rows on a, rows on
+        # b), a the band side (see ``_pair_keys``).
         self._folded: dict = {}
         # Each axis's sort order, its inverse and its covariate in that
         # order, for banded axes.
@@ -554,22 +556,6 @@ class Workspace:
         self._idx = idx
         self._frac = pos - idx
 
-    def switch_to_slopes(self) -> None:
-        """Build (level, slope) statistics from now on, for good.
-
-        Drops every cached axis and pair, all of them level-only, so
-        they are rebuilt whole on demand, and the pair window's stamps.
-        Called by each local linear request before it fetches an axis; a
-        no-op once switched.
-        """
-        if not self._slopes:
-            self._slopes = True
-            self._axes.clear()
-            self._pairs.clear()
-            self._seen.clear()
-            self._folded = {}
-            self._layout = self._layout_buf = None
-
     # -- cached primitives -------------------------------------------------
 
     def axis(self, j: int, h: float) -> _AxisStats:
@@ -579,26 +565,15 @@ class Workspace:
         key = (j, float(h))
         st = self._axes.get(key)
         if st is None:
-            st = self._axes[key] = _built(_AxisStats, self, *key, self._slopes)
+            st = self._axes[key] = _built(_AxisStats, self, *key)
         if isinstance(st, SmoothfitError):
             raise st.with_traceback(None)
         return st
 
-    def ll_marginal(self, j: int, h: float):
-        """(levels, slopes) of the local linear regression of y on axis j.
-
-        Switches the workspace to slopes first.  The arrays are cached;
-        callers must not modify them.
-        """
-        self.switch_to_slopes()
-        return self.axis(j, h).ll
-
-    def prepare(self, keys, smoother: str, scan=None) -> None:
-        """Build the missing axes and pairs that ``smoother`` ("nw" or
-        "ll") backfits at the bandwidth tuples ``keys`` read in a scan of
-        axis ``scan`` (None outside scans; see ``_pair_keys``), then fold
-        their coupling blocks.  With "ll" it switches the workspace to
-        slopes first.
+    def prepare(self, keys, scan=None) -> None:
+        """Build the missing axes and pairs that backfits at the bandwidth
+        tuples ``keys`` read in a scan of axis ``scan`` (None outside
+        scans; see ``_pair_keys``), then fold their coupling blocks.
 
         A call with a ``scan`` and a key to solve is one coordinate scan:
         before anything is built, it advances the scan clock and drops
@@ -625,7 +600,7 @@ class Workspace:
         """
         if scan is not None and keys:
             self._tick()
-        self._fill(keys, smoother, scan)
+        self._fill(keys, scan)
 
     def _tick(self) -> None:
         """Advance the scan clock, and drop the pair blocks that no
@@ -638,11 +613,9 @@ class Workspace:
         for key in self._pairs.keys() - self._seen.keys():
             del self._pairs[key]
 
-    def _fill(self, keys, smoother: str, scan=None) -> None:
+    def _fill(self, keys, scan=None) -> None:
         """``prepare`` without advancing the scan clock: what each solve
         runs on its own key."""
-        if smoother == "ll":
-            self.switch_to_slopes()
         d = self.data.d
         keys = [[float(v) for v in h] for h in keys]
         axes = {(j, h[j]) for h in keys for j in range(d)}
@@ -653,14 +626,13 @@ class Workspace:
         need = set()
         for h in keys:
             if all(isinstance(self._axes[j, h[j]], _AxisStats) for j in range(d)):
-                need.update(self._pair_keys(h, smoother, scan))
+                need.update(self._pair_keys(h, scan))
         # Stamped whether built, read or held folded (see ``_tick``).
-        for _, a, b, ha, hb in need:
-            self._seen[a, b, ha, hb] = self._clock
+        self._seen.update(dict.fromkeys(need, self._clock))
         held = self._folded
         # In a scan, the pairs of two fixed axes first: one layout at most
         # each, made while the store holds the fewest new blocks.
-        missing = sorted(need - held.keys(), key=lambda key: (scan in key[1:3], key))
+        missing = sorted(need - held.keys(), key=lambda key: (scan in key[:2], key))
         if not missing:
             return
         # The held blocks that no key here reads are let go before the
@@ -671,9 +643,9 @@ class Workspace:
             store.update(self._fold(missing[i : i + _FOLD_CHUNK]))
         self._layout = self._layout_buf = None
 
-    def _pair_keys(self, h, smoother: str, scan=None) -> list:
-        """The keys (smoother, a, b, ha, hb) of the folded blocks that a
-        ``smoother`` solve at ``h`` (floats, every axis built) reads in a
+    def _pair_keys(self, h, scan=None) -> list:
+        """The keys (a, b, ha, hb) of the pair blocks, and of their folded
+        blocks, that a solve at ``h`` (floats, every axis built) reads in a
         scan of axis ``scan`` (None outside scans), one per pair: a is the
         pair's band side (see ``_band_side``).
 
@@ -690,26 +662,24 @@ class Workspace:
             for b in range(a + 1, d):
                 recent = None if scan is None else int((b - scan - 1) % d > (a - scan - 1) % d)
                 if _band_side(axes[a], axes[b], recent):
-                    keys.append((smoother, b, a, h[b], h[a]))
+                    keys.append((b, a, h[b], h[a]))
                 else:
-                    keys.append((smoother, a, b, h[a], h[b]))
+                    keys.append((a, b, h[a], h[b]))
         return keys
 
     def _fold(self, chunk) -> dict:
-        """The folded blocks of the pairs ``chunk``, keys (smoother, a, b,
-        ha, hb), in one fresh array: key -> (rows on a, rows on b)."""
-        smoother = chunk[0][0]
-        g = self.grid.size
-        r = 2 * g if smoother == "ll" else g
+        """The folded blocks of the pairs ``chunk``, keys (a, b, ha, hb), in
+        one fresh array: key -> (rows on a, rows on b)."""
+        g, r = self.grid.size, self.r
         blocks = np.empty((2 * len(chunk), r, r))
         axes = []
-        for i, (_, a, b, ha, hb) in enumerate(chunk):
-            blk = self._pair_blocks(a, b, ha, hb)[0][:r, :r]
+        for i, (a, b, ha, hb) in enumerate(chunk):
+            (blk,) = self._pair_blocks(a, b, ha, hb)
             blocks[2 * i] = blk
             blocks[2 * i + 1] = blk.T
             axes += [self._axes[a, ha], self._axes[b, hb]]
         blocks *= np.tile(self.tau, r // g)
-        if smoother == "ll":
+        if self.smoother == "ll":
             # (level, slope) rows become (i11, i12; i12, i22) combinations.
             inv = np.array([st.inv for st in axes])
             halves = blocks.reshape(len(axes), 2, g, r)
@@ -726,8 +696,8 @@ class Workspace:
 
         Returns a one-element tuple: the sample average of outer products
         of the two axes' weights, ``w_a @ w_b.T / n`` (G x G) on a
-        level-only workspace and the stacked 2G x 2G block of (level,
-        slope) halves once it has switched to slopes, rows on a.  On a
+        Nadaraya-Watson workspace and the stacked 2G x 2G block of (level,
+        slope) halves on a local linear one, rows on a.  On a
         miss it is built here, on every path, from products per run of
         axis a against axis b laid out in a's order through the layout
         memo (``_partner``).  (b, a) holds its transpose to rounding,
@@ -746,32 +716,29 @@ class Workspace:
         side on axis j: the memo's layout where the last pair laid out had
         its band side on axis j, as dense or banded, and the same partner
         entry; otherwise laid out anew into the memo's one buffer, of
-        exactly a layout's rows (G level-only, 2G with slopes), which is
-        reset where the last layout wrote (zeroed whole when new)."""
+        exactly a layout's ``r`` rows, which is reset where the last
+        layout wrote (zeroed whole when new)."""
         shared = (j, band.order is None)
         memo = self._layout
         if memo is None or memo[0] != shared or memo[1] is not other:
             written = None if memo is None else memo[3]
             self._layout = None  # until the buffer holds the new layout
             if self._layout_buf is None:
-                rows = (2 if self._slopes else 1) * self.grid.size
-                self._layout_buf = np.empty((rows, self.data.n))
+                self._layout_buf = np.empty((self.r, self.data.n))
             layout, written = _lay_out(
                 other, band.order, self.grid.points, self._layout_buf, written
             )
             memo = self._layout = (shared, other, layout, written)
         return memo[2]
 
-    def operators(self, h, smoother: str, scan=None) -> np.ndarray:
-        """The coupling operators of a ``smoother`` solve at ``h`` in a scan
-        of axis ``scan``, shape (d, r, d * r), copied from the folded
-        blocks that ``_fill([h], smoother, scan)`` holds (see Solvers
-        above)."""
-        d = self.data.d
-        r = (2 if smoother == "ll" else 1) * self.grid.size
+    def operators(self, h, scan=None) -> np.ndarray:
+        """The coupling operators of a solve at ``h`` in a scan of axis
+        ``scan``, shape (d, r, d * r), copied from the folded blocks that
+        ``_fill([h], scan)`` holds (see Solvers above)."""
+        d, r = self.data.d, self.r
         ops = np.zeros((d, r, d, r))
-        for key in self._pair_keys([float(v) for v in h], smoother, scan):
-            _, a, b, _, _ = key
+        for key in self._pair_keys([float(v) for v in h], scan):
+            a, b, _, _ = key
             ops[a, :, b], ops[b, :, a] = self._folded[key]
         return ops.reshape(d, r, d * r)
 
@@ -793,25 +760,28 @@ class Workspace:
 
 def workspace_for(
     data: Dataset,
+    smoother: str,
     grid: Grid | None = None,
     kernel: KernelSpec | None = None,
     workspace: Workspace | None = None,
 ) -> Workspace:
-    """The workspace that a fit or selection on ``data`` runs on.
+    """The workspace that a ``smoother`` ("nw" or "ll") fit or selection
+    on ``data`` runs on.
 
     Without ``workspace``, a new one on ``grid`` (default: the regular
     25-point grid) with ``kernel`` (default: biweight).  A given workspace
     is returned as it is, but only if it was built on ``data`` (the same
-    object, or equal covariates and responses) and ``grid`` and ``kernel``
-    are each None or equal to its own; otherwise this raises ValueError,
-    so that a fit never mixes one sample's, grid's or kernel's state with
-    another's.
+    object, or equal covariates and responses) and for ``smoother``, and
+    ``grid`` and ``kernel`` are each None or equal to its own; otherwise
+    this raises ValueError, so that a fit never mixes one sample's,
+    grid's, kernel's or smoother's state with another's.
     """
     if workspace is None:
         return Workspace(
             data,
             Grid.regular() if grid is None else grid,
             BIWEIGHT if kernel is None else kernel,
+            smoother,
         )
     ws = workspace
     if ws.data is not data and not (
@@ -826,7 +796,16 @@ def workspace_for(
             f"{ws.grid.size}-point grid"
         )
     own_kernel(kernel, ws.kernel, "workspace")
+    _own_smoother(ws, smoother)
     return ws
+
+
+def _own_smoother(ws: Workspace, smoother: str) -> None:
+    """Raise ValueError unless ``ws`` was built for ``smoother``."""
+    if smoother != ws.smoother:
+        raise ValueError(
+            f"smoother {smoother!r} differs from the workspace's {ws.smoother!r}"
+        )
 
 
 def own_kernel(kernel: KernelSpec | None, own: KernelSpec, owner: str) -> KernelSpec:
@@ -890,14 +869,16 @@ def nw_solve(
 
     Returns (components, sweeps, changes) with components already
     normalized to have zero density-weighted mean per axis; the
-    intercept is the response mean throughout.
+    intercept is the response mean throughout.  Raises ValueError on a
+    local linear workspace.
     """
+    _own_smoother(ws, "nw")
     d, g = ws.data.d, ws.grid.size
-    ws._fill([h], "nw", scan)
+    ws._fill([h], scan)
     axes = [ws.axis(j, h[j]) for j in range(d)]
     base = np.array([ax.a0 / ax.p - ws.ybar for ax in axes])
     p = np.array([ax.p for ax in axes])
-    ops = ws.operators(h, "nw", scan)
+    ops = ws.operators(h, scan)
     m = np.zeros((d, g))
     if init is not None:
         m[:] = init
@@ -926,13 +907,14 @@ def ll_solve(
     scan of axis ``scan`` (None outside scans; see ``_pair_keys``).
     Returns (levels, slopes, sweeps, changes), normalized so that each
     component's norming functional vanishes and the intercept equals the
-    response mean.  Switches the workspace to slopes first.
+    response mean.  Raises ValueError on a Nadaraya-Watson workspace.
     """
-    ws._fill([h], "ll", scan)
+    _own_smoother(ws, "ll")
+    ws._fill([h], scan)
     d, g = ws.data.d, ws.grid.size
     rows = [ws.axis(j, h[j]).ll_rows(ws.tau) for j in range(d)]
     c, q, norm = (np.array(col) for col in zip(*rows))
-    ops = ws.operators(h, "ll", scan)
+    ops = ws.operators(h, scan)
     state = np.zeros((d, 2 * g))
     if init is not None:
         state[:, :g] = init[0]

@@ -73,7 +73,7 @@ def marginal_ll(
         If a local moment matrix is singular beyond the ridge.
     """
     _check_axis(data, j)
-    levels, slopes = _engine.workspace_for(data, grid, kernel).ll_marginal(j, h)
+    levels, slopes = _engine.workspace_for(data, "ll", grid, kernel).axis(j, h).ll
     return levels.copy(), slopes.copy()
 
 
@@ -101,8 +101,8 @@ def backfit_ll(
     ValueError
         If a bandwidth (InvalidBandwidthError) or ``tol`` is not finite
         and positive, ``max_sweeps`` is not an integer of at least 1, or
-        ``workspace`` was built on other data or on another grid or
-        kernel than the ones passed.
+        ``workspace`` was built on other data, on another grid or kernel
+        than the ones passed, or for the other smoother.
     NonConvergenceError
         With the last sup-norm change attached, if sweeps run out.
     EmptyNeighborhoodError

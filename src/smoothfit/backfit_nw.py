@@ -77,7 +77,7 @@ def marginal_nw(
         observation within ``h``), or an observation has no grid mass.
     """
     _check_axis(data, j)
-    axis = _engine.workspace_for(data, grid, kernel).axis(j, h)
+    axis = _engine.workspace_for(data, "nw", grid, kernel).axis(j, h)
     return axis.a0 / axis.p
 
 
@@ -113,8 +113,8 @@ def backfit_nw(
     ValueError
         If a bandwidth (InvalidBandwidthError) or ``tol`` is not finite
         and positive, ``max_sweeps`` is not an integer of at least 1, or
-        ``workspace`` was built on other data or on another grid or
-        kernel than the ones passed.
+        ``workspace`` was built on other data, on another grid or kernel
+        than the ones passed, or for the other smoother.
     NonConvergenceError
         If ``max_sweeps`` sweeps do not reach ``tol``; carries the last
         sup-norm change.
@@ -126,9 +126,10 @@ def backfit_nw(
 
 
 def _backfit(fit_type, smoother, data, h, grid, kernel, tol, max_sweeps, workspace, init):
-    """``backfit_nw`` or ``backfit_ll`` (``smoother`` "nw" or "ll"), recording
-    the workspace's grid and kernel.  The solver is looked up on ``_engine``
-    at each call, so that a wrapper put in its place sees every backfit."""
+    """``backfit_nw`` or ``backfit_ll`` (``smoother`` "nw" or "ll") on a
+    workspace built for ``smoother``, recording its grid and kernel.  The
+    solver is looked up on ``_engine`` at each call, so that a wrapper put
+    in its place sees every backfit."""
     h = np.asarray(h, dtype=float).ravel()
     if h.size != data.d:
         raise ValueError(f"need {data.d} bandwidths, got {h.size}")
@@ -136,7 +137,7 @@ def _backfit(fit_type, smoother, data, h, grid, kernel, tol, max_sweeps, workspa
         check_bandwidth(hj)
     _engine.check_tolerance("tol", tol)
     _engine.check_count("max_sweeps", max_sweeps)
-    ws = _engine.workspace_for(data, grid, kernel, workspace)
+    ws = _engine.workspace_for(data, smoother, grid, kernel, workspace)
     solve = getattr(_engine, f"{smoother}_solve")
     *curves, sweeps, changes = solve(ws, h, init=init, tol=tol, max_sweeps=max_sweeps)
     return fit_type(ws.ybar, *curves, h, ws.grid, sweeps, True, changes, ws.kernel)

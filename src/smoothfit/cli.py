@@ -45,7 +45,9 @@ def _open(path: str, mode: str = "r"):
     """Every file the command line reads or writes opens here; a path it
     cannot open is an input error."""
     try:
-        return open(path, mode, newline="", encoding="utf-8")
+        # Reads skip a UTF-8 byte-order mark, as spreadsheet exports write.
+        encoding = "utf-8-sig" if mode == "r" else "utf-8"
+        return open(path, mode, newline="", encoding=encoding)
     except OSError as err:
         verb = "read" if mode == "r" else "write"
         raise _InputError(f"cannot {verb} {path}: {err}") from None
@@ -199,7 +201,7 @@ def _run_selection(args, data, grid, kernel):
     spec = _search_spec(args, data)
     method = args.method.replace("-", "_")
     _check_selector(method, args.smoother)
-    ws = _engine.workspace_for(data, grid, kernel)
+    ws = _engine.workspace_for(data, args.smoother, grid, kernel)
     if method == "pls":
         sel = select_pls(data, args.smoother, spec, workspace=ws)
     elif method == "pl":

@@ -28,12 +28,14 @@ simulation's ase1 oracle) are the same searches over the marginal local
 linear fit, which with one covariate is the backfit up to centring and
 needs no solve.
 
-Each selector runs on one workspace, which fixes the sample, the grid
-and the kernel (``_engine.workspace_for``).  ``grid`` and ``kernel``
-default to a given ``workspace``'s, else to the regular 25-point grid
-and the biweight kernel; a workspace built on other data, or on another
-grid or kernel than the ones passed, raises ValueError.  The searches
-and steps read all three from the workspace.
+Each selector runs on one workspace, which fixes the sample, the grid,
+the kernel and the smoother (``_engine.workspace_for``): ``select_pls``
+and the oracle search take the smoother, and the other selectors are
+local linear.  ``grid`` and ``kernel`` default to a given
+``workspace``'s, else to the regular 25-point grid and the biweight
+kernel; a workspace built on other data, on another grid or kernel than
+the ones passed, or for the other smoother, raises ValueError.  The
+searches and steps read all four from the workspace.
 
 Grid searches score candidates on the grid.  Each criterion (residual
 or true error) is a weighted mean square of a target minus the
@@ -234,13 +236,13 @@ class _FitCache:
 
     ``fit(key)`` returns the level curves at the bandwidth tuple ``key``,
     or None when the backfit failed; the fitted surface is ``intercept``
-    plus the curves.  Fits are kept in the workspace's store of solved
-    backfits under (smoother, tol, max_sweeps, key), so every selector
-    run on one workspace reads what any of them solved, as the selectors
-    of a simulation replicate do: the first solve of a key wins, whatever
-    it was warm-started from.  A run counts each failed key once in
-    ``failed``.  The public backfits never read the store and always
-    start cold.
+    plus the curves.  Fits are solved with the workspace's smoother and
+    kept in its store of solved backfits under (tol, max_sweeps, key), so
+    every selector run on one workspace reads what any of them solved, as
+    the selectors of a simulation replicate do: the first solve of a key
+    wins, whatever it was warm-started from.  A run counts each failed
+    key once in ``failed``.  The public backfits never read the store and
+    always start cold.
 
     A grid search names the axis it scans (``scan``), and the fits and
     blocks of that scan are solved and folded on that scan's coupling
@@ -254,12 +256,11 @@ class _FitCache:
     of those two fits in h_j.
     """
 
-    def __init__(self, ws, smoother, tol, max_sweeps):
+    def __init__(self, ws, tol, max_sweeps):
         _engine.check_tolerance("fit_tol", tol)
         _engine.check_count("max_sweeps", max_sweeps)
         self.ws = ws
         self.intercept = ws.ybar
-        self.smoother = smoother
         self.tol = tol
         self.max_sweeps = max_sweeps
         self.failed = set()
@@ -273,13 +274,13 @@ class _FitCache:
         those that share a partner's layout follow each other, and folded
         in chunks.  Keys already in the store of solved backfits are
         skipped, as they will not be solved."""
-        head = (self.smoother, self.tol, self.max_sweeps)
+        head = (self.tol, self.max_sweeps)
         keys = [key for key in keys if (*head, key) not in self.ws._fits]
-        self.ws.prepare(keys, self.smoother, scan)
+        self.ws.prepare(keys, scan)
 
     def fit(self, key, scan=None):
         store = self.ws._fits
-        entry = (self.smoother, self.tol, self.max_sweeps, key)
+        entry = (self.tol, self.max_sweeps, key)
         if entry not in store:
             store[entry] = self._solve(key, scan)
         solution = store[entry]
@@ -293,9 +294,9 @@ class _FitCache:
         """(levels,) for NW or (levels, slopes) for LL at ``key`` in a scan
         of axis ``scan``, or None when the backfit fails."""
         init, start = self._warm_start(key)
-        if init is not None and self.smoother == "nw":
+        if init is not None and self.ws.smoother == "nw":
             init = init[0]
-        solve = getattr(_engine, f"{self.smoother}_solve")
+        solve = getattr(_engine, f"{self.ws.smoother}_solve")
         try:
             *curves, _, _ = solve(
                 self.ws, key, init, self.tol, self.max_sweeps, start_axis=start, scan=scan
@@ -344,11 +345,11 @@ class _MarginalFit:
         self.failed = set()
 
     def prepare(self, keys, scan=None):
-        self.ws.prepare(keys, "ll")
+        self.ws.prepare(keys)
 
     def fit(self, key, scan=None):
         try:
-            return self.ws.ll_marginal(0, key[0])[0][None]
+            return self.ws.axis(0, key[0]).ll[0][None]
         except SmoothfitError:
             self.failed.add(key)
             return None
@@ -618,11 +619,11 @@ def select_pls(
     linear criterion uses the full sample.
     """
     _check_selector("pls", smoother)
-    ws = _engine.workspace_for(data, grid, kernel, workspace)
+    ws = _engine.workspace_for(data, smoother, grid, kernel, workspace)
     if trim is None and smoother == "nw":
         trim = spec.nw_trim(data.d)
     mw = _criterion_weights(weights, trim, data.x)
-    fits = _FitCache(ws, smoother, fit_tol, max_sweeps)
+    fits = _FitCache(ws, fit_tol, max_sweeps)
     return _grid_search(fits, _pls_criterion(fits, mw), spec, "pls")
 
 
@@ -678,7 +679,7 @@ def select_pl(
     """
     if mode not in ("full_grid", "coordinate"):
         raise ValueError("mode must be 'full_grid' or 'coordinate'")
-    ws = _engine.workspace_for(data, grid, kernel, workspace)
+    ws = _engine.workspace_for(data, "ll", grid, kernel, workspace)
     d, n, kernel = data.d, data.n, ws.kernel
     cands = spec.candidates
     if mode == "full_grid" and cands.size**d > 10_000_000:
@@ -711,7 +712,7 @@ def select_pl(
     def step(prev, rss_val, curv, flags):
         return search(prev, rss_val, (curv * mw[:, None]).T @ curv / n)
 
-    fits = _FitCache(ws, "ll", fit_tol, max_sweeps)
+    fits = _FitCache(ws, fit_tol, max_sweeps)
     return _plug_in(fits, step, spec, method, mw, pilot_factor)
 
 
@@ -769,8 +770,8 @@ def select_pl_star(
     axis to the box's upper end (flat component, widest smoothing).
     ``weights_j`` may be None or a per-axis list of weight callables.
     """
-    ws = _engine.workspace_for(data, grid, kernel, workspace)
-    fits = _FitCache(ws, "ll", fit_tol, max_sweeps)
+    ws = _engine.workspace_for(data, "ll", grid, kernel, workspace)
+    fits = _FitCache(ws, fit_tol, max_sweeps)
     step = _pl_star_step(ws, spec, weights_j)
     return _plug_in(fits, step, spec, "pl_star", None, pilot_factor)
 
@@ -800,7 +801,7 @@ def select_single(
         raise ValueError("single-covariate selection needs d = 1")
     if method not in ("pls1", "pl1"):
         raise ValueError("method must be 'pls1' or 'pl1'")
-    fits = _MarginalFit(_engine.workspace_for(data, grid, kernel, workspace))
+    fits = _MarginalFit(_engine.workspace_for(data, "ll", grid, kernel, workspace))
     if method == "pls1":
         return _grid_search(fits, _pls_criterion(fits, None), spec, "pls1", once=True)
     step = _pl_star_step(fits.ws, spec, None)
@@ -844,11 +845,11 @@ def oracle_ase_bandwidth(
         raise ValueError("ase_j needs a component index and its centered truth")
     else:
         target = np.asarray(component_truth(_check_axis(data, component)), dtype=float)
-    ws = _engine.workspace_for(data, grid, kernel, workspace)
+    ws = _engine.workspace_for(data, smoother, grid, kernel, workspace)
     if trim is None and smoother == "nw":
         trim = spec.nw_trim(data.d)
     mw = _criterion_weights(weights, trim, data.x)
-    fits = _FitCache(ws, smoother, fit_tol, max_sweeps)
+    fits = _FitCache(ws, fit_tol, max_sweeps)
     crit = _ase_criterion(fits, target, mw, component)
     return _grid_search(fits, crit, spec, "ase_oracle")
 

@@ -290,7 +290,7 @@ def _run_selector(name, data, truth, config, spec, ws):
 
 def _marginal_ase1(data, truth, h, ws):
     """Noncentered component error of the plain local linear fit."""
-    curve = ws.ll_marginal(0, h)[0]
+    curve = ws.axis(0, h).ll[0]
     err = ws.component_at_data(0, curve) - truth.components[0](data.x[:, 0])
     return _mean_square(err, None, data.n)
 
@@ -299,7 +299,7 @@ def _run_replicate(config: SimConfig, replicate: int) -> dict:
     data, truth = generate(config, replicate)
     spec = config.search_spec()
     ws = _engine.workspace_for(
-        data, Grid.regular(config.grid_size), get_kernel(config.kernel)
+        data, config.smoother, Grid.regular(config.grid_size), get_kernel(config.kernel)
     )
     record = {"replicate": replicate, "selectors": {}, "failures": {}}
     single = config.d == 1

@@ -68,7 +68,7 @@ def test_a_fit_records_the_kernel_of_its_workspace(smoother):
     triweight = custom_kernel(
         lambda t: 35.0 / 32.0 * np.clip(1.0 - t * t, 0.0, None) ** 3, "triweight")
     for kernel in (EPANECHNIKOV, triweight):
-        ws = _engine.workspace_for(data, Grid.regular(21), kernel)
+        ws = _engine.workspace_for(data, smoother, Grid.regular(21), kernel)
         fit = backfit(data, [0.3, 0.35], workspace=ws, tol=1e-10)
         assert fit.kernel is ws.kernel and fit.grid is ws.grid
         assert residual(data, fit) < 1e-8
@@ -99,7 +99,7 @@ def test_a_bandwidth_that_is_not_finite_and_positive_is_rejected(smoother, h):
     # NaN, and a local linear backfit raised KeyError from its fold store.
     data = make_additive_dataset(seed=53, n=80, d=3)
     grid = Grid.regular(25)
-    ws = _engine.workspace_for(data, grid)
+    ws = _engine.workspace_for(data, smoother, grid)
     with pytest.raises(InvalidBandwidthError, match="finite and positive"):
         _BACKFITS[smoother][0](data, [0.2, h, 0.2], workspace=ws)
     assert not ws._axes and not ws._fits

@@ -84,7 +84,7 @@ class TestBackfitNW:
         fit = backfit_nw(data, h, grid25, tol=1e-13)
         d, g = data.d, grid25.size
         tau = grid25.weights
-        ws = Workspace(data, grid25, BIWEIGHT)
+        ws = Workspace(data, grid25, BIWEIGHT, "nw")
         a = np.eye(d * g)
         rhs = np.zeros(d * g)
         for j in range(d):

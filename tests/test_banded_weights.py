@@ -18,7 +18,6 @@ from smoothfit import (
     Dataset,
     Grid,
     SimConfig,
-    backfit_ll,
     backfit_nw,
     custom_kernel,
     generate,
@@ -84,15 +83,13 @@ def _check_band(data, h, kernel, grid):
     try:
         w = weight_matrix(kernel, h, grid, x)
     except EmptyNeighborhoodError as dense_err:
-        ws = _engine.Workspace(data, grid, kernel)
+        ws = _engine.Workspace(data, grid, kernel, "ll")
         with pytest.raises(EmptyNeighborhoodError) as band_err:
-            ws.switch_to_slopes()
             ws.axis(0, h)
         assert band_err.value.axis == 0
         assert band_err.value.where == dense_err.where
         return
-    ws = _engine.Workspace(data, grid, kernel)
-    ws.switch_to_slopes()
+    ws = _engine.Workspace(data, grid, kernel, "ll")
     # A grid point with no observation within h fails the build there.
     uncovered = np.flatnonzero(w.sum(axis=1) <= 0.0)
     if uncovered.size:
@@ -126,10 +123,7 @@ def _banded_sample(monkeypatch):
 
 
 def _workspace(data, slopes):
-    ws = _engine.Workspace(data, GRID, BIWEIGHT)
-    if slopes:
-        ws.switch_to_slopes()
-    return ws
+    return _engine.Workspace(data, GRID, BIWEIGHT, "ll" if slopes else "nw")
 
 
 def _scan_keys(h, j, cands):
@@ -139,7 +133,6 @@ def _scan_keys(h, j, cands):
 @pytest.mark.parametrize("slopes", [False, True])
 def test_pair_block_depends_on_its_key_and_band_side(slopes, monkeypatch):
     data, spec = _banded_sample(monkeypatch)
-    smoother = "ll" if slopes else "nw"
     solve = _engine.ll_solve if slopes else _engine.nw_solve
     cands = [float(c) for c in spec.candidates]
     h = tuple(cands[i] for i in (3, 9, 6))
@@ -147,7 +140,7 @@ def test_pair_block_depends_on_its_key_and_band_side(slopes, monkeypatch):
     def scan(j):
         def build():
             ws = _workspace(data, slopes)
-            ws.prepare(_scan_keys(h, j, cands), smoother, scan=j)
+            ws.prepare(_scan_keys(h, j, cands), scan=j)
             return ws
         return build
 
@@ -162,7 +155,7 @@ def test_pair_block_depends_on_its_key_and_band_side(slopes, monkeypatch):
         # Scans and solves in another order on one workspace.
         ws = _workspace(data, slopes)
         for j in (2, 1, 0):
-            ws.prepare(_scan_keys(h, j, cands[::3]), smoother, scan=j)
+            ws.prepare(_scan_keys(h, j, cands[::3]), scan=j)
         solve(ws, h)
         return ws
 
@@ -232,8 +225,8 @@ def test_a_scan_lays_each_partner_out_once_per_group(slopes, monkeypatch):
     monkeypatch.setattr(_engine, "_lay_out", counting)
     for j in range(3):
         laid.clear()
-        ws = _engine.Workspace(data, GRID, BIWEIGHT)
-        ws.prepare(_scan_keys(h, j, cands), "ll" if slopes else "nw", scan=j)
+        ws = _workspace(data, slopes)
+        ws.prepare(_scan_keys(h, j, cands), scan=j)
         groups = {
             (a, ws.axis(a, ha).order is None, id(ws.axis(b, hb))) for a, b, ha, hb in ws._pairs
         }
@@ -252,9 +245,9 @@ def test_a_scan_lays_each_partner_out_once_per_group(slopes, monkeypatch):
 def test_nadaraya_watson_does_not_depend_on_the_workspace_history():
     data, _ = generate(SimConfig(model="m1", n=200, rho=0.5, seed=17), 0)
     tuples = [(0.1, 0.2, 0.3), (0.25, 0.08, 0.15), (0.4, 0.4, 0.12)]
-    served = _engine.Workspace(data, GRID, BIWEIGHT)
+    served = _engine.Workspace(data, GRID, BIWEIGHT, "nw")
     for h in tuples:
-        backfit_ll(data, h, GRID, workspace=served)
+        backfit_nw(data, h[::-1], GRID, workspace=served)
     for h in tuples:
         fresh = backfit_nw(data, h, GRID)
         again = backfit_nw(data, h, GRID, workspace=served)
@@ -265,7 +258,7 @@ def test_nadaraya_watson_does_not_depend_on_the_workspace_history():
 def test_a_large_local_linear_selection_keeps_banded_weights_only():
     cfg = SimConfig(model="m1", n=5000, rho=0.5, seed=4)
     data, _ = generate(cfg, 0)
-    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    ws = _engine.Workspace(data, GRID, BIWEIGHT, "ll")
     select_pls(data, "ll", cfg.search_spec(), GRID, workspace=ws)
     g, n = GRID.size, data.n
     assert ws._axes
@@ -327,8 +320,7 @@ def test_slope_weights_formed_on_demand_match_stored_ones(n, kernel):
     rng = np.random.default_rng(n)
     x = rng.uniform(0.0, 1.0, (n, 2))
     data = Dataset(x=x, y=np.sin(4 * x[:, 0]) + x[:, 1] + rng.normal(0.0, 0.1, n))
-    ws = _engine.Workspace(data, GRID, kernel)
-    ws.switch_to_slopes()
+    ws = _engine.Workspace(data, GRID, kernel, "ll")
     g, points = GRID.size, GRID.points
     hs = (0.08, 0.25, 0.4)
     buf = np.empty((2 * g, n))
@@ -411,9 +403,7 @@ def test_one_pass_layouts_match_the_stored_ones(kernel, slopes):
     rng = np.random.default_rng(11)
     x = rng.uniform(0.0, 1.0, (n, 2))
     data = Dataset(x=x, y=np.cos(3 * x[:, 1]) + rng.normal(0.0, 0.1, n))
-    ws = _engine.Workspace(data, GRID, kernel)
-    if slopes:
-        ws.switch_to_slopes()
+    ws = _engine.Workspace(data, GRID, kernel, "ll" if slopes else "nw")
     g, points = GRID.size, GRID.points
     rows = (2 if slopes else 1) * g
     dense = [ws.axis(j, 0.08) for j in (0, 1)]
@@ -465,9 +455,9 @@ def test_a_layout_resets_only_what_the_last_one_wrote(slopes, monkeypatch):
 def test_a_local_linear_scan_keeps_only_the_level_weights():
     cfg = SimConfig(model="m1", n=5000, rho=0.5, seed=4)
     data, _ = generate(cfg, 0)
-    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    ws = _engine.Workspace(data, GRID, BIWEIGHT, "ll")
     h = (0.1, 0.1, 0.1)
-    ws.prepare([(c, *h[1:]) for c in cfg.search_spec().candidates], "ll")
+    ws.prepare([(c, *h[1:]) for c in cfg.search_spec().candidates])
     assert len(ws._axes) == 27
     # Each entry keeps its level weights at its band's width and no slope
     # weights: half the bytes of the two stored together.

@@ -83,7 +83,7 @@ def test_traced_large_selection_counts_every_axis_build(spans):
     cfg = SimConfig(model="m1", n=2700, seed=9, search_num=6)
     data, _ = generate(cfg, 0)
     grid = Grid.regular(25)
-    ws = _engine.Workspace(data, grid, BIWEIGHT)
+    ws = _engine.Workspace(data, grid, BIWEIGHT, "ll")
     tracer = spans.Tracer()
     with spans.traced(tracer):
         simulate.select_pls(data, "ll", cfg.search_spec(), grid, workspace=ws)
@@ -104,9 +104,9 @@ def test_traced_failed_axis_build_is_one_build(spans, monkeypatch):
     class Counting(_engine._AxisStats):
         __slots__ = ()
 
-        def __init__(self, ws, j, h, slopes):
+        def __init__(self, ws, j, h):
             built.append((j, h))
-            super().__init__(ws, j, h, slopes)
+            super().__init__(ws, j, h)
 
     monkeypatch.setattr(_engine, "_AxisStats", Counting)
     tracer = spans.Tracer()

@@ -436,6 +436,27 @@ class TestReadCsv:
         assert self._same(path) == message
         assert main(["fit", str(path), "--h", "0.2,0.2"]) == 2
 
+    def test_a_byte_order_mark_is_skipped(self, csv3, tmp_path):
+        # Spreadsheet "CSV UTF-8" exports start with one.  Read as part of
+        # the first header name, it failed the header check with a message
+        # that did not show it.
+        path = tmp_path / "bom.csv"
+        with open(csv3, "rb") as fh:
+            path.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        for got, want in zip(_read_csv(str(path)), _read_csv(csv3)):
+            assert got.tobytes() == want.tobytes()
+        out, ref = tmp_path / "bom.json", tmp_path / "plain.json"
+        assert main(["select", str(path), "--method", "pl-star", "--out", str(out)]) == 0
+        assert main(["select", csv3, "--method", "pl-star", "--out", str(ref)]) == 0
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_a_bad_row_after_a_byte_order_mark_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfx1,x2,y\n0.1,0.2,3\n0.4,half,6\n")
+        assert _outcome(_read_csv, str(path)) == "line 3: non-numeric value"
+        assert main(["fit", str(path), "--h", "0.2,0.2"]) == 2
+        assert "smoothfit: line 3: non-numeric value" in capsys.readouterr().err
+
 
 class TestSearchBox:
     @pytest.mark.parametrize("box, h0", [("0.05,0.3", 0.1), ("0.2,0.5", 0.2)])

@@ -247,7 +247,7 @@ class TestAgainstReference:
     def test_line_guard_matches_least_squares(self, grid25):
         rng = np.random.default_rng(7)
         x = rng.uniform(0, 1, 50)
-        ws = Workspace(Dataset(x=x[:, None], y=x), grid25, BIWEIGHT)
+        ws = Workspace(Dataset(x=x[:, None], y=x), grid25, BIWEIGHT, "ll")
         t = grid25.points
         cases = [0.4 + 2.0 * t, 3.0 - t + 1e-13 * rng.normal(size=25),
                  1e5 * t, t + 1e-6 * t**2, np.zeros(25), t**2]

@@ -101,7 +101,6 @@ def reference_nw_solve(ws, h, init=None, tol=1e-6, max_sweeps=200):
 
 
 def reference_ll_solve(ws, h, init=None, tol=1e-6, max_sweeps=200):
-    ws.switch_to_slopes()
     d, g = ws.data.d, ws.grid.size
     axes = [ws.axis(j, h[j]) for j in range(d)]
     invs = [axes[j].inv for j in range(d)]
@@ -178,7 +177,7 @@ def test_solvers_match_reference(seed, d, tol, data_h):
     data = _dataset(seed, n=80, d=d)
     h = np.array([data_h.draw(st.floats(0.12, 0.8)) for _ in range(d)])
 
-    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    ws = _engine.Workspace(data, GRID, BIWEIGHT, "ll")
     ref_m, ref_s, ref_sweeps, _ = reference_ll_solve(ws, h, tol=tol)
     fit = backfit_ll(data, h, GRID, tol=tol, workspace=ws)
     assert fit.iterations == ref_sweeps
@@ -192,6 +191,7 @@ def test_solvers_match_reference(seed, d, tol, data_h):
         )
         assert abs(norming) < 1e-8
 
+    ws = _engine.Workspace(data, GRID, BIWEIGHT, "nw")
     ref_m, ref_sweeps, _ = reference_nw_solve(ws, h, tol=tol)
     fit = backfit_nw(data, h, GRID, tol=tol, workspace=ws)
     assert fit.iterations == ref_sweeps
@@ -204,7 +204,7 @@ def test_solvers_match_reference(seed, d, tol, data_h):
 
 def test_warm_start_matches_reference():
     data = _dataset(7, n=120, d=3)
-    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    ws = _engine.Workspace(data, GRID, BIWEIGHT, "ll")
     m, s, _, _ = _engine.ll_solve(ws, [0.2, 0.25, 0.3])
     h = np.array([0.22, 0.25, 0.3])
     ref = reference_ll_solve(ws, h, init=(m, s))
@@ -217,13 +217,14 @@ def test_warm_start_matches_reference():
 def test_fortran_ordered_warm_start_matches_reference():
     # A warm start in any memory order must be iterated, not frozen.
     data = _dataset(9, n=120, d=3)
-    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    ws = _engine.Workspace(data, GRID, BIWEIGHT, "nw")
     warm = np.asfortranarray(_engine.nw_solve(ws, [0.2, 0.25, 0.3])[0])
     h = np.array([0.22, 0.25, 0.3])
     ref_m, ref_sweeps, _ = reference_nw_solve(ws, h, init=warm)
     fit = backfit_nw(data, h, GRID, init=warm, workspace=ws)
     assert fit.iterations == ref_sweeps
     np.testing.assert_allclose(fit.components, ref_m, rtol=0, atol=1e-12)
+    ws = _engine.Workspace(data, GRID, BIWEIGHT, "ll")
     m, s, _, _ = _engine.ll_solve(ws, [0.2, 0.25, 0.3])
     init = (np.asfortranarray(m), np.asfortranarray(s))
     ref = reference_ll_solve(ws, h, init=init)
@@ -235,91 +236,58 @@ def test_fortran_ordered_warm_start_matches_reference():
 
 def test_nan_init_raises_numeric_error():
     data = _dataset(3, n=60, d=2)
-    ws = _engine.Workspace(data, GRID, BIWEIGHT)
     bad = np.zeros((2, GRID.size))
     bad[1, 4] = np.nan
     with pytest.raises(NumericError):
-        _engine.ll_solve(ws, [0.3, 0.3], init=(bad, np.zeros_like(bad)))
+        _engine.ll_solve(
+            _engine.Workspace(data, GRID, BIWEIGHT, "ll"), [0.3, 0.3],
+            init=(bad, np.zeros_like(bad)),
+        )
     with pytest.raises(NumericError):
-        _engine.nw_solve(ws, [0.3, 0.3], init=bad)
+        _engine.nw_solve(_engine.Workspace(data, GRID, BIWEIGHT, "nw"), [0.3, 0.3], init=bad)
 
 
 def test_level_only_workspace_yields_the_level_product():
+    # A selection, a backfit and a marginal fit on Nadaraya-Watson
+    # workspaces build no slope statistics and only G x G blocks; a local
+    # linear workspace builds only stacked 2G x 2G blocks.
     data = _dataset(5, n=50, d=2)
     g = GRID.size
-    ws = _engine.Workspace(data, GRID, BIWEIGHT)
-    (block,) = ws._pair_blocks(0, 1, 0.3, 0.4)
-    assert block.shape == (g, g)
-    _engine.nw_solve(ws, [0.3, 0.4])
-    assert ws._pair_blocks(0, 1, 0.3, 0.4)[0] is block
+    spec = BandwidthSearchSpec(candidates=[0.3, 0.35, 0.4, 0.45, 0.5], h0=[0.3, 0.4])
+    level_only = {"nw": [], "ll": []}
+
+    class Recording(_engine._AxisStats):
+        __slots__ = ()
+
+        def __init__(self, ws, j, h):
+            super().__init__(ws, j, h)
+            no_slopes = self.inv is None and self.ll is None and self.p1 is None
+            level_only[ws.smoother].append(no_slopes)
+
+    with mock.patch.object(_engine, "_AxisStats", Recording):
+        ws = _engine.Workspace(data, GRID, BIWEIGHT, "nw")
+        (block,) = ws._pair_blocks(0, 1, 0.3, 0.4)
+        assert block.shape == (g, g)
+        _engine.nw_solve(ws, [0.3, 0.4])
+        assert ws._pair_blocks(0, 1, 0.3, 0.4)[0] is block
+        select_pls(data, "nw", spec, GRID, workspace=ws)
+        backfit_nw(data, [0.5, 0.3], GRID, workspace=ws)
+        marginal_nw(data, 1, 0.5, GRID)
+        ll = _engine.Workspace(data, GRID, BIWEIGHT, "ll")
+        select_pls(data, "ll", spec, GRID, workspace=ll)
+        (stacked,) = ll._pair_blocks(0, 1, 0.3, 0.4)
     sa = ws.axis(0, 0.3)
     ref = _ref_pair_blocks(ws, 0, 1, 0.3, 0.4)[0]
     np.testing.assert_allclose(block, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
     assert all(st.inv is None for st in ws._axes.values())
     assert sa.ll is None
-
-
-def test_pair_block_is_stacked_after_a_local_linear_solve():
-    data = _dataset(5, n=50, d=2)
-    g = GRID.size
-    ws = _engine.Workspace(data, GRID, BIWEIGHT)
-    _engine.nw_solve(ws, [0.3, 0.4])
-    _engine.ll_solve(ws, [0.3, 0.4])
-    (block,) = ws._pair_blocks(0, 1, 0.3, 0.4)
-    assert block.shape == (2 * g, 2 * g)
-    wawb, bawb, wabb, babb = _ref_pair_blocks(ws, 0, 1, 0.3, 0.4)
-    ref = np.block([[wawb, wabb], [bawb, babb]])
-    np.testing.assert_allclose(block, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
-
-
-@given(
-    seed=st.integers(0, 10_000),
-    d=st.integers(1, 4),
-    data_h=st.data(),
-)
-@settings(max_examples=20, deadline=None)
-def test_mixed_use_matches_fresh_workspaces(seed, d, data_h):
-    data = _dataset(seed, n=80, d=d)
-    g = GRID.size
-    hs = [
-        np.array([data_h.draw(st.floats(0.12, 0.8)) for _ in range(d)])
-        for _ in range(3)
-    ]
-    ws = _engine.Workspace(data, GRID, BIWEIGHT)
-
-    def same(got, want):
-        assert got[-2] == want[-2]
-        for a, b in zip(got[:-2], want[:-2]):
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
-
-    level_only = []
-
-    class Recording(_engine._AxisStats):
-        __slots__ = ()
-
-        def __init__(self, ws, j, h, slopes):
-            super().__init__(ws, j, h, slopes)
-            level_only.append(self.inv is None)
-
-    with mock.patch.object(_engine, "_AxisStats", Recording):
-        fresh = _engine.Workspace(data, GRID, BIWEIGHT)
-        same(_engine.nw_solve(ws, hs[0]), _engine.nw_solve(fresh, hs[0]))
-        backfit_nw(data, hs[0], GRID)
-        marginal_nw(data, d - 1, hs[1][d - 1], GRID)
-    assert level_only and all(level_only)
+    assert level_only["nw"] and all(level_only["nw"])
     assert all(blk.shape == (g, g) for (blk,) in ws._pairs.values())
-
-    same(
-        _engine.ll_solve(ws, hs[1]),
-        _engine.ll_solve(_engine.Workspace(data, GRID, BIWEIGHT), hs[1]),
-    )
-    assert all(blk.shape == (2 * g, 2 * g) for (blk,) in ws._pairs.values())
-    same(
-        _engine.nw_solve(ws, hs[2]),
-        _engine.nw_solve(_engine.Workspace(data, GRID, BIWEIGHT), hs[2]),
-    )
-    assert all(blk.shape == (2 * g, 2 * g) for (blk,) in ws._pairs.values())
-    assert all(st.inv is not None for st in ws._axes.values())
+    assert level_only["ll"] and not any(level_only["ll"])
+    assert all(blk.shape == (2 * g, 2 * g) for (blk,) in ll._pairs.values())
+    wawb, bawb, wabb, babb = _ref_pair_blocks(ll, 0, 1, 0.3, 0.4)
+    ref = np.block([[wawb, wabb], [bawb, babb]])
+    np.testing.assert_allclose(stacked, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
 
 @given(
@@ -334,14 +302,15 @@ def test_every_start_axis_reaches_the_reference_fixed_point(seed, d, warm, data_
     # not the fixed point.  A cold start from axis 0 is the default path.
     data = _dataset(seed, n=80, d=d)
     h = np.array([data_h.draw(st.floats(0.12, 0.8)) for _ in range(d)])
-    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    ws = _engine.Workspace(data, GRID, BIWEIGHT, "ll")
+    nw_ws = _engine.Workspace(data, GRID, BIWEIGHT, "nw")
     ref_m, ref_s, _, _ = reference_ll_solve(ws, h, tol=1e-13)
-    ref_nw, _, _ = reference_nw_solve(ws, h, tol=1e-13)
+    ref_nw, _, _ = reference_nw_solve(nw_ws, h, tol=1e-13)
     ll_init = nw_init = None
     if warm:
         near = h * 1.1
         ll_init = _engine.ll_solve(ws, near)[:2]
-        nw_init = _engine.nw_solve(ws, near)[0]
+        nw_init = _engine.nw_solve(nw_ws, near)[0]
     # Both stop where a sweep moves the state by less than tol on the
     # state's scale, so they agree to that scale.
     ll_atol = 1e-12 * max(1.0, np.abs(ref_m).max(), np.abs(ref_s).max())
@@ -350,7 +319,7 @@ def test_every_start_axis_reaches_the_reference_fixed_point(seed, d, warm, data_
         m, s, _, _ = _engine.ll_solve(ws, h, ll_init, tol=1e-13, start_axis=start)
         np.testing.assert_allclose(m, ref_m, rtol=0, atol=ll_atol)
         np.testing.assert_allclose(s, ref_s, rtol=0, atol=ll_atol)
-        m, _, _ = _engine.nw_solve(ws, h, nw_init, tol=1e-13, start_axis=start)
+        m, _, _ = _engine.nw_solve(nw_ws, h, nw_init, tol=1e-13, start_axis=start)
         np.testing.assert_allclose(m, ref_nw, rtol=0, atol=nw_atol)
     cold = _engine.ll_solve(ws, h)
     assert cold[2] == reference_ll_solve(ws, h)[2]
@@ -372,8 +341,8 @@ def _assembled_coupling(ws, h, r, scan):
     d = ws.data.d
     out = np.zeros((d, r, d, r))
     # Each pair from the band side that a solve in this scan reads.
-    for _, a, b, ha, hb in ws._pair_keys([float(v) for v in h], "", scan):
-        blk = ws._pair_blocks(a, b, ha, hb)[0][:r, :r]
+    for a, b, ha, hb in ws._pair_keys([float(v) for v in h], scan):
+        (blk,) = ws._pair_blocks(a, b, ha, hb)
         out[a, :, b, :] = blk
         out[b, :, a, :] = blk.T
     out *= np.tile(ws.tau, (d, r // ws.grid.size))
@@ -396,7 +365,6 @@ def assembled_nw_solve(ws, h, init=None, tol=1e-6, max_sweeps=200, start_axis=0,
 
 
 def assembled_ll_solve(ws, h, init=None, tol=1e-6, max_sweeps=200, start_axis=0, scan=None):
-    ws.switch_to_slopes()
     d, g = ws.data.d, ws.grid.size
     axes = [ws.axis(j, h[j]) for j in range(d)]
     inv = np.array([ax.inv for ax in axes])
@@ -431,7 +399,7 @@ def _bits(out):
 
 
 def _held_pairs(ws):
-    return {key[1:] for key in ws._folded}
+    return set(ws._folded)
 
 
 def _pairs_of(keys, d):
@@ -461,10 +429,10 @@ def test_solves_on_folded_blocks_equal_whole_operator_assembly(
     keys = [tuple(h[:j] + [c] + h[j + 1 :]) for c in (0.15, 0.2, 0.3, h[j])]
     solve = _engine.ll_solve if smoother == "ll" else _engine.nw_solve
     reference = assembled_ll_solve if smoother == "ll" else assembled_nw_solve
-    ws = _engine.Workspace(data, GRID, BIWEIGHT)
-    ref_ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    ws = _engine.Workspace(data, GRID, BIWEIGHT, smoother)
+    ref_ws = _engine.Workspace(data, GRID, BIWEIGHT, smoother)
     if as_scan:
-        ws.prepare(keys, smoother)
+        ws.prepare(keys)
         assert _held_pairs(ws) == _pairs_of(keys, d)
     for start in range(d):
         init = None
@@ -481,28 +449,22 @@ def test_solves_on_folded_blocks_equal_whole_operator_assembly(
 
 def test_store_holds_only_the_latest_preparing_call():
     data = _dataset(11, n=80, d=3)
-    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    ws = _engine.Workspace(data, GRID, BIWEIGHT, "ll")
     scan = [(c, 0.3, 0.4) for c in (0.15, 0.2, 0.25)]
-    ws.prepare(scan, "ll")
-    assert ws._slopes
+    ws.prepare(scan)
     assert _held_pairs(ws) == _pairs_of(scan, 3)
     held = dict(ws._folded)
     # Keys whose blocks are all held change nothing, and the blocks of a
     # later call that needs a new one are reused, not refolded.
-    ws.prepare(scan[:2], "ll")
+    ws.prepare(scan[:2])
     _engine.ll_solve(ws, scan[1])
     assert ws._folded == held
     other = [(0.2, c, 0.4) for c in (0.3, 0.35)]
-    ws.prepare(other, "ll")
+    ws.prepare(other)
     assert _held_pairs(ws) == _pairs_of(other, 3)
     for key, blocks in ws._folded.items():
         if key in held:
             assert blocks is held[key]
-    # Nadaraya-Watson blocks are folded apart from local linear ones.
-    ws.prepare(other, "nw")
-    assert {key[0] for key in ws._folded} == {"nw"}
-    ws.prepare([], "ll")
-    assert {key[0] for key in ws._folded} == {"nw"}
 
 
 @pytest.mark.parametrize("smoother", ["ll", "nw"])
@@ -519,9 +481,9 @@ def test_candidate_with_a_failing_axis_is_flagged_as_with_assembly(smoother):
         trace = [(t["h"].tobytes(), t["criterion"]) for t in sel.trace]
         return sel.bandwidths.tobytes(), sel.criterion, sel.flags, trace
 
-    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    ws = _engine.Workspace(data, GRID, BIWEIGHT, smoother)
     got = fields(select_pls(data, smoother, spec, GRID, workspace=ws))
-    assert not any(0.004 in key[3:] for key in ws._folded)
+    assert not any(0.004 in key[2:] for key in ws._folded)
     with mock.patch.object(_engine, "ll_solve", assembled_ll_solve), \
             mock.patch.object(_engine, "nw_solve", assembled_nw_solve):
         want = fields(select_pls(data, smoother, spec, GRID))

@@ -77,11 +77,11 @@ def test_scorer_equals_the_direct_sum(case):
     axes = [int(rng.integers(d))] if case["single"] else list(range(d))
     offset = 0.7
     truth = np.full(n, offset)
-    probe = Workspace(Dataset(x=x, y=np.zeros(n)), grid, BIWEIGHT)
+    probe = Workspace(Dataset(x=x, y=np.zeros(n)), grid, BIWEIGHT, "ll")
     for j in axes:
         truth += probe.component_at_data(j, case["true_levels"][j])
     y = truth + case["noise"] * rng.normal(size=n)
-    ws = Workspace(Dataset(x=x, y=y), grid, BIWEIGHT)
+    ws = Workspace(Dataset(x=x, y=y), grid, BIWEIGHT, "ll")
     target = y if case["target_kind"] == "y" else truth
     intercept = ws.ybar if case["intercept_kind"] == "ybar" else 0.0
     if case["weights"] == "none":
@@ -108,9 +108,9 @@ def test_noiseless_fit_scores_by_the_direct_sum(grid25):
     rng = np.random.default_rng(3)
     x = rng.uniform(0.0, 1.0, (300, 2))
     levels = np.stack([grid25.points, -0.5 * grid25.points**2])
-    probe = Workspace(Dataset(x=x, y=np.zeros(300)), grid25, BIWEIGHT)
+    probe = Workspace(Dataset(x=x, y=np.zeros(300)), grid25, BIWEIGHT, "ll")
     y = 1.0 + probe.component_at_data(0, levels[0]) + probe.component_at_data(1, levels[1])
-    ws = Workspace(Dataset(x=x, y=y), grid25, BIWEIGHT)
+    ws = Workspace(Dataset(x=x, y=y), grid25, BIWEIGHT, "ll")
     levels[0] += 1.0 - ws.ybar
     scorer = _GridScorer(ws, y, None, ws.ybar, [0, 1])
     value = scorer(levels)
@@ -191,14 +191,14 @@ def test_backfit_searches_select_what_the_direct_criteria_select(grid25, seed, r
     comp = np.asarray(truth.components[1](data.x[:, 1]) - truth.centers[1], dtype=float)
     for smoother in ("ll", "nw"):
         mw = ones if smoother == "ll" else trimmed
-        ws = Workspace(data, grid25, BIWEIGHT)
+        ws = Workspace(data, grid25, BIWEIGHT, smoother)
         new = select_pls(data, smoother, spec, grid25, workspace=ws)
-        fits = _FitCache(ws, smoother, 1e-6, 200)
+        fits = _FitCache(ws, 1e-6, 200)
         ref = _grid_search(fits, _at_data(_ref_pls_criterion(data, mw, k0), fits), spec, "pls")
         _same_selection(new, ref)
 
         new = oracle_ase_bandwidth(data, truth.total, smoother, spec, workspace=ws)
-        fits = _FitCache(ws, smoother, 1e-6, 200)
+        fits = _FitCache(ws, 1e-6, 200)
         crit = _at_data(_ref_ase_criterion(ws, total, mw), fits)
         _same_selection(new, _grid_search(fits, crit, spec, "ase_oracle"))
 
@@ -207,7 +207,7 @@ def test_backfit_searches_select_what_the_direct_criteria_select(grid25, seed, r
             component_truth=lambda t: truth.components[1](t) - truth.centers[1],
             workspace=ws,
         )
-        fits = _FitCache(ws, smoother, 1e-6, 200)
+        fits = _FitCache(ws, 1e-6, 200)
         crit = _at_data(_ref_ase_criterion(ws, comp, mw, 1), fits)
         _same_selection(new, _grid_search(fits, crit, spec, "ase_oracle"))
 
@@ -217,7 +217,7 @@ def test_marginal_searches_select_what_the_direct_criteria_select(grid25, seed):
     cfg = SimConfig(model="m2", n=200, seed=seed)
     data, truth = generate(cfg, 0)
     spec = cfg.search_spec()
-    ws = Workspace(data, grid25, BIWEIGHT)
+    ws = Workspace(data, grid25, BIWEIGHT, "ll")
     new = select_single(data, "pls1", spec, grid25, workspace=ws)
     fits = _MarginalFit(ws)
     crit = _at_data(_ref_pls_criterion(data, None, BIWEIGHT.k0), fits)

@@ -57,7 +57,7 @@ def _selection(sel):
 def test_the_cache_holds_no_block_untouched_for_d_scans(n, monkeypatch):
     data, spec = _sample(n, monkeypatch)
     products = _CountProducts(monkeypatch)
-    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    ws = _engine.Workspace(data, GRID, BIWEIGHT, "ll")
     sel = select_pls(data, "ll", replace(spec, max_outer=3), workspace=ws)
     d = data.d
     assert sel.outer_iterations == 3
@@ -75,7 +75,7 @@ def test_a_selection_is_the_same_without_the_window(n, smoother, monkeypatch):
     data, spec = _sample(n, monkeypatch)
 
     def select():
-        ws = _engine.Workspace(data, GRID, BIWEIGHT)
+        ws = _engine.Workspace(data, GRID, BIWEIGHT, smoother)
         return _selection(select_pls(data, smoother, spec, workspace=ws)), len(ws._pairs)
 
     windowed, held = select()
@@ -103,7 +103,7 @@ def test_an_m1_replicate_is_the_same_without_the_window(monkeypatch):
 def test_a_dropped_block_is_rebuilt_bitwise(n, smoother, monkeypatch):
     data, spec = _sample(n, monkeypatch)
     cands = [float(c) for c in spec.candidates]
-    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    ws = _engine.Workspace(data, GRID, BIWEIGHT, smoother)
     h = [cands[3], cands[9], cands[6]]
 
     def scan(j):
@@ -111,7 +111,7 @@ def test_a_dropped_block_is_rebuilt_bitwise(n, smoother, monkeypatch):
         for c in cands:
             h[j] = c
             keys.append(tuple(h))
-        ws.prepare(keys, smoother, scan=j)
+        ws.prepare(keys, scan=j)
         h[j] = cands[12]
 
     scan(0)
@@ -131,28 +131,19 @@ def test_a_dropped_block_is_rebuilt_bitwise(n, smoother, monkeypatch):
 def test_a_pl_star_run_drops_nothing(monkeypatch):
     data, spec = _sample(200, monkeypatch)
     products = _CountProducts(monkeypatch)
-    ws = _engine.Workspace(data, GRID, BIWEIGHT)
+    ws = _engine.Workspace(data, GRID, BIWEIGHT, "ll")
     sel = select_pl_star(data, spec, GRID, workspace=ws)
     assert sel.outer_iterations > 1
     assert ws._clock == 0
     assert len(ws._pairs) == products.calls > 0
 
 
-def test_switching_to_slopes_clears_the_window():
-    data, _ = _sample(200, None)
-    ws = _engine.Workspace(data, GRID, BIWEIGHT)
-    ws.prepare([(0.2, 0.2, 0.2), (0.3, 0.2, 0.2)], "nw", scan=0)
-    assert ws._clock == 1 and ws._seen and ws._pairs
-    ws.switch_to_slopes()
-    assert not ws._seen and not ws._pairs and not ws._axes
-
-
 def test_a_scan_with_nothing_to_solve_leaves_the_clock():
     # The fit store skips solved keys, so such a scan reads no block.
     data, _ = _sample(200, None)
-    ws = _engine.Workspace(data, GRID, BIWEIGHT)
-    ws.prepare([], "nw", scan=0)
-    ws.prepare([(0.2, 0.2, 0.2)], "nw")
+    ws = _engine.Workspace(data, GRID, BIWEIGHT, "nw")
+    ws.prepare([], scan=0)
+    ws.prepare([(0.2, 0.2, 0.2)])
     assert ws._clock == 0
-    ws.prepare([(0.2, 0.2, 0.2)], "nw", scan=1)
+    ws.prepare([(0.2, 0.2, 0.2)], scan=1)
     assert ws._clock == 1

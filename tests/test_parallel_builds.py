@@ -68,9 +68,9 @@ def _counted_selection(smoother, case):
     class Counting(_engine._AxisStats):
         __slots__ = ()
 
-        def __init__(self, ws, j, h, slopes):
+        def __init__(self, ws, j, h):
             built[j, h] += 1
-            super().__init__(ws, j, h, slopes)
+            super().__init__(ws, j, h)
 
     data, spec, bad = _two_covariates_with_a_failing_candidate(case)
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():

@@ -148,7 +148,7 @@ def test_pl_star_step_is_the_optimal_bandwidth(seed, d):
     curv = rng.normal(0.0, rng.uniform(0.01, 50.0), (n, d))
     rss = float(rng.uniform(1e-4, 1.0))
     flags = []
-    ws = Workspace(data, GRID, BIWEIGHT)
+    ws = Workspace(data, GRID, BIWEIGHT, "ll")
     h, crit = selectors._pl_star_step(ws, spec, None)(spec.h0, rss, curv, flags)
     assert crit == rss
     for j in range(d):

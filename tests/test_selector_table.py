@@ -30,7 +30,7 @@ def test_every_selector_runs_through_the_study_dispatch(name, smoother):
     )
     data, truth = generate(config, 0)
     ws = _engine.workspace_for(
-        data, Grid.regular(config.grid_size), get_kernel(config.kernel)
+        data, config.smoother, Grid.regular(config.grid_size), get_kernel(config.kernel)
     )
     sel = simulate._run_selector(name, data, truth, config, config.search_spec(), ws)
     assert isinstance(sel, SelectionResult)

@@ -224,7 +224,7 @@ class TestSelectPL:
         spec = BandwidthSearchSpec.for_sample_size(dataset2.n, 2, num=10)
         sel = select_pl(dataset2, spec, "full_grid", grid25, fit_tol=1e-11)
         prev_h = spec.h0 if len(sel.trace) == 1 else sel.trace[-2]["h"]
-        ws = Workspace(dataset2, grid25, BIWEIGHT)
+        ws = Workspace(dataset2, grid25, BIWEIGHT, "ll")
         fit = backfit_ll(dataset2, prev_h, grid25, workspace=ws, tol=1e-11)
         rss_val = rss(dataset2, fit).value
         curv = _curvature_matrix(ws, fit.components, prev_h, 1.5)
@@ -276,7 +276,7 @@ class TestSelectSingle:
     def test_shared_workspace_gives_same_selection(self, grid25, method):
         data = make_additive_dataset(seed=41, n=90, d=1)
         spec = BandwidthSearchSpec.for_sample_size(90, 1)
-        ws = Workspace(data, grid25, BIWEIGHT)
+        ws = Workspace(data, grid25, BIWEIGHT, "ll")
         shared = select_single(data, method, spec, grid25, workspace=ws)
         alone = select_single(data, method, spec, grid25)
         assert ws._axes
@@ -304,7 +304,7 @@ class TestSelectSingle:
                          - x**2) ** 2)
                 for c in spec.candidates
             ]
-            ws = Workspace(data, grid25, BIWEIGHT)
+            ws = Workspace(data, grid25, BIWEIGHT, "ll")
             ase1 = _select_ase1(data, truth, spec, ws)
             assert ase1.bandwidths[0] == spec.candidates[int(np.argmin(errors))]
             assert ase1.outer_iterations == 1 and ase1.converged
@@ -343,7 +343,7 @@ class TestOracle:
             cfg = SimConfig(model="m1", n=120, rho=0.0, replicates=1, seed=909)
             data, truth = generate(cfg, rep)
             spec = BandwidthSearchSpec.for_sample_size(120, 3)
-            ws = Workspace(data, grid25, BIWEIGHT)
+            ws = Workspace(data, grid25, BIWEIGHT, "ll")
             orc = oracle_ase_bandwidth(
                 data, truth.total, "ll", spec, workspace=ws
             )
@@ -394,7 +394,7 @@ class TestOracle:
         # component = -1 scored the last axis, and component = d raised
         # IndexError.
         spec = BandwidthSearchSpec.for_sample_size(dataset2.n, 2)
-        ws = Workspace(dataset2, grid25, BIWEIGHT)
+        ws = Workspace(dataset2, grid25, BIWEIGHT, "ll")
         with pytest.raises(ValueError, match=f"axis {component} out of range for d=2"):
             oracle_ase_bandwidth(
                 dataset2, None, "ll", spec, criterion="ase_j", component=component,
@@ -422,7 +422,7 @@ def test_h0_of_the_wrong_length_is_rejected_before_any_fit(grid25, name, extra):
     d = 1 if name in ("pls1", "pl1") else 2
     data = make_additive_dataset(seed=44, n=80, d=d)
     spec = BandwidthSearchSpec.for_sample_size(data.n, d + extra)
-    ws = Workspace(data, grid25, BIWEIGHT)
+    ws = Workspace(data, grid25, BIWEIGHT, "ll")
     with pytest.raises(ValueError, match=f"h0 holds {d + extra} bandwidths for {d}"):
         _SELECTORS[name](data, spec, ws)
     assert not ws._axes and not ws._fits
@@ -440,16 +440,21 @@ _ENTRY_POINTS = {
     "backfit_nw": lambda data, spec, **kw: backfit_nw(data, spec.h0, **kw),
     "backfit_ll": lambda data, spec, **kw: backfit_ll(data, spec.h0, **kw),
 }
+# The smoother each entry point runs, and the other one.
+_SMOOTHER_OF = {name: "nw" if name == "backfit_nw" else "ll" for name in _ENTRY_POINTS}
+_OTHER_SMOOTHER = {"nw": "ll", "ll": "nw"}
 
 
 @pytest.mark.parametrize("mismatch, message", [
     ("data", "built on other data"),
     ("grid", "grid of 15 points differs from the workspace's 25-point grid"),
     ("kernel", "kernel 'epanechnikov' differs from the workspace's 'biweight'"),
+    ("smoother", "smoother '{own}' differs from the workspace's '{other}'"),
 ])
 @pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
 def test_a_workspace_on_another_sample_grid_or_kernel_is_rejected(name, mismatch, message):
-    # A workspace fixes the sample, grid and kernel that a fit runs on.
+    # A workspace fixes the sample, grid, kernel and smoother that a fit
+    # runs on.
     # Taken with another sample, a selection fitted one sample and scored
     # with the other's weights; with another grid, a backfit labelled the
     # workspace's curves with the grid passed; with another kernel, fits
@@ -458,10 +463,25 @@ def test_a_workspace_on_another_sample_grid_or_kernel_is_rejected(name, mismatch
     data = make_additive_dataset(seed=45, n=80, d=d)
     other = make_additive_dataset(seed=46, n=80, d=d)
     spec = BandwidthSearchSpec.for_sample_size(data.n, d)
-    ws = Workspace(other if mismatch == "data" else data, Grid.regular(25), BIWEIGHT)
+    own = _SMOOTHER_OF[name]
+    built_for = _OTHER_SMOOTHER[own] if mismatch == "smoother" else own
+    ws = Workspace(other if mismatch == "data" else data, Grid.regular(25), BIWEIGHT, built_for)
     kw = {"grid": {"grid": Grid.regular(15)}, "kernel": {"kernel": EPANECHNIKOV}}
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message.format(own=own, other=built_for)):
         _ENTRY_POINTS[name](data, spec, workspace=ws, **kw.get(mismatch, {}))
+    assert not ws._axes and not ws._fits
+
+
+@pytest.mark.parametrize("smoother", sorted(_OTHER_SMOOTHER))
+def test_a_solver_rejects_a_workspace_of_the_other_smoother(smoother):
+    # A workspace serves one smoother: the other's solver says so, rather
+    # than failing on a block's shape or a missing moment inverse.
+    data = make_additive_dataset(seed=45, n=80, d=2)
+    other = _OTHER_SMOOTHER[smoother]
+    ws = Workspace(data, Grid.regular(25), BIWEIGHT, other)
+    solve = getattr(_engine, f"{smoother}_solve")
+    with pytest.raises(ValueError, match=f"smoother '{smoother}' differs from the workspace's '{other}'"):
+        solve(ws, [0.3, 0.35])
     assert not ws._axes and not ws._fits
 
 
@@ -475,7 +495,7 @@ def test_an_equal_sample_grid_and_kernel_share_the_workspace(name):
     spec = BandwidthSearchSpec.for_sample_size(data.n, d, max_outer=4)
     run = _ENTRY_POINTS[name]
     alone = run(twin, spec, grid=Grid.regular(21), kernel=EPANECHNIKOV)
-    ws = Workspace(data, Grid.regular(21), EPANECHNIKOV)
+    ws = Workspace(data, Grid.regular(21), EPANECHNIKOV, _SMOOTHER_OF[name])
     for kw in ({}, {"grid": Grid.regular(21), "kernel": EPANECHNIKOV}):
         shared = run(twin, spec, workspace=ws, **kw)
         if name.startswith("backfit"):
@@ -489,10 +509,10 @@ def test_an_equal_sample_grid_and_kernel_share_the_workspace(name):
 
 def test_without_a_workspace_the_grid_and_kernel_default_to_25_points_and_biweight():
     data = make_additive_dataset(seed=48, n=60, d=2)
-    ws = _engine.workspace_for(data)
+    ws = _engine.workspace_for(data, "ll")
     assert ws.data is data and ws.kernel is BIWEIGHT
     np.testing.assert_array_equal(ws.grid.points, Grid.regular(25).points)
-    assert _engine.workspace_for(data, ws.grid, BIWEIGHT, ws) is ws
+    assert _engine.workspace_for(data, "ll", ws.grid, BIWEIGHT, ws) is ws
     fit = backfit_ll(data, [0.3, 0.3])
     assert fit.grid.size == 25
     np.testing.assert_array_equal(
